@@ -34,6 +34,7 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -69,35 +70,29 @@ struct ServiceOptions {
 /// bench::Options::parse (whose parser is strict about unknown flags).
 ServiceOptions take_service_flags(int& argc, char** argv) {
   ServiceOptions svc;
+  std::string error;
+  const auto number = [&](int& i, auto& field) {
+    if (!bench::take_unsigned(argc, argv, i, field, error)) {
+      std::cerr << argv[0] << ": " << error << '\n';
+      std::exit(2);
+    }
+  };
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    const auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << argv[0] << ": flag " << flag
-                  << " is missing its value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
     if (std::strcmp(argv[i], "--readers") == 0) {
-      svc.readers = static_cast<unsigned>(std::atoi(value("--readers")));
+      number(i, svc.readers);
     } else if (std::strcmp(argv[i], "--requests") == 0) {
-      svc.requests =
-          static_cast<std::uint64_t>(std::atoll(value("--requests")));
+      number(i, svc.requests);
     } else if (std::strcmp(argv[i], "--churn-pause-us") == 0) {
-      svc.churn_pause_us =
-          static_cast<unsigned>(std::atoi(value("--churn-pause-us")));
+      number(i, svc.churn_pause_us);
     } else if (std::strcmp(argv[i], "--verify-every") == 0) {
-      svc.verify_every =
-          static_cast<std::uint64_t>(std::atoll(value("--verify-every")));
+      number(i, svc.verify_every);
     } else if (std::strcmp(argv[i], "--sample") == 0) {
       svc.sample = true;
     } else if (std::strcmp(argv[i], "--script-epochs") == 0) {
-      svc.script_epochs =
-          static_cast<std::uint64_t>(std::atoll(value("--script-epochs")));
+      number(i, svc.script_epochs);
     } else if (std::strcmp(argv[i], "--head-every") == 0) {
-      svc.head_every =
-          static_cast<std::uint32_t>(std::atoll(value("--head-every")));
+      number(i, svc.head_every);
     } else {
       argv[out++] = argv[i];
     }
@@ -156,13 +151,6 @@ bool snapshot_matches_scratch(const topo::Hypercube& cube,
   return scratch.public_view == snap.public_view &&
          scratch.self_view == snap.self_view;
 }
-
-/// Swallows everything: the downstream for sampler passes that measure
-/// promotion cost without paying for a consumer.
-class NullSink final : public obs::TraceSink {
- public:
-  void on_event(const obs::TraceEvent&) override {}
-};
 
 // ---------------------------------------------------------------------------
 // --sample: the tail-sampled tracing benchmark. Replaces the racing
@@ -313,7 +301,7 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
   constexpr int kTimingReps = 4;
   std::vector<SampleTally> untraced_tallies(readers);
   std::vector<SampleTally> sampled_tallies(readers);
-  NullSink null_b;
+  obs::NullSink null_b;
   std::unique_ptr<obs::SamplingSink> sampler_b;
   double untraced_ms = std::numeric_limits<double>::infinity();
   double sampled_ms = std::numeric_limits<double>::infinity();
@@ -388,7 +376,7 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
 
   // --- pass C: same workload, different thread count -> same digest ----
   const unsigned alt_readers = readers == 1 ? 4 : 1;
-  NullSink null_c;
+  obs::NullSink null_c;
   obs::SamplingSink sampler_c(&null_c, make_sampling_config(svc_opt, false));
   std::vector<SampleTally> alt_tallies(alt_readers);
   std::vector<ChainCollector> collectors_c(alt_readers);

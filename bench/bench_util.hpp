@@ -3,17 +3,21 @@
 // file in the same run, --jsonl streams per-point obs events, --audit
 // streams the same events through the invariant-checking AuditSink,
 // --dim/--trials/--seed override binary defaults, and --threads sets the
-// sweep-engine worker count — results are bit-identical for every value)
-// and table emission.
+// sweep-engine worker count — results are bit-identical for every value;
+// numeric values parse strictly as unsigned decimals) and table emission.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "common/table.hpp"
 #include "obs/audit.hpp"
@@ -22,6 +26,42 @@
 #include "obs/trace.hpp"
 
 namespace slcube::bench {
+
+/// Strict decimal parse of an unsigned flag value: the whole string must
+/// be digits and fit in T. Signs, spaces, fractions, suffixes, hex and
+/// empty strings are rejected (nullopt) rather than read as a prefix.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_unsigned(const char* text) {
+  static_assert(std::is_unsigned_v<T>);
+  if (text == nullptr || *text < '0' || *text > '9') return std::nullopt;
+  const char* const end = text + std::strlen(text);
+  T value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// Consume the value after flag argv[i] (advancing i) and parse it with
+/// parse_unsigned into `out`. On a missing or malformed value returns
+/// false with `error` naming the flag.
+template <typename T>
+[[nodiscard]] bool take_unsigned(int argc, char** argv, int& i, T& out,
+                                 std::string& error) {
+  const char* const flag = argv[i];
+  if (i + 1 >= argc) {
+    error = std::string("flag ") + flag + " is missing its value";
+    return false;
+  }
+  const char* const text = argv[++i];
+  const auto parsed = parse_unsigned<T>(text);
+  if (!parsed) {
+    error = std::string("flag ") + flag +
+            " needs an unsigned integer in range, got '" + text + "'";
+    return false;
+  }
+  out = *parsed;
+  return true;
+}
 
 struct Options {
   bool csv = false;
@@ -51,8 +91,9 @@ struct Options {
   }
 
   /// Testable core of parse(): fills `out` and returns true, or returns
-  /// false with `error` naming the offending flag (unknown flag, or a
-  /// trailing flag missing its value argument).
+  /// false with `error` naming the offending flag (unknown flag, a
+  /// trailing flag missing its value argument, or a numeric value that
+  /// parse_unsigned rejects).
   [[nodiscard]] static bool try_parse(int argc, char** argv, Options& out,
                                       std::string& error) {
     const auto value = [&](int& i, const char** v) {
@@ -76,17 +117,13 @@ struct Options {
         if (!value(i, &v)) return false;
         out.jsonl_file = v;
       } else if (std::strcmp(argv[i], "--dim") == 0) {
-        if (!value(i, &v)) return false;
-        out.dim = static_cast<unsigned>(std::atoi(v));
+        if (!take_unsigned(argc, argv, i, out.dim, error)) return false;
       } else if (std::strcmp(argv[i], "--trials") == 0) {
-        if (!value(i, &v)) return false;
-        out.trials = static_cast<unsigned>(std::atoi(v));
+        if (!take_unsigned(argc, argv, i, out.trials, error)) return false;
       } else if (std::strcmp(argv[i], "--seed") == 0) {
-        if (!value(i, &v)) return false;
-        out.seed = static_cast<std::uint64_t>(std::atoll(v));
+        if (!take_unsigned(argc, argv, i, out.seed, error)) return false;
       } else if (std::strcmp(argv[i], "--threads") == 0) {
-        if (!value(i, &v)) return false;
-        out.threads = static_cast<unsigned>(std::atoi(v));
+        if (!take_unsigned(argc, argv, i, out.threads, error)) return false;
       } else if (std::strcmp(argv[i], "--bench-json") == 0) {
         if (!value(i, &v)) return false;
         out.bench_json = v;
@@ -94,8 +131,7 @@ struct Options {
         if (!value(i, &v)) return false;
         out.telemetry_file = v;
       } else if (std::strcmp(argv[i], "--sample-ms") == 0) {
-        if (!value(i, &v)) return false;
-        out.sample_ms = static_cast<unsigned>(std::atoi(v));
+        if (!take_unsigned(argc, argv, i, out.sample_ms, error)) return false;
       } else {
         error = std::string("unknown flag '") + argv[i] + "'";
         return false;

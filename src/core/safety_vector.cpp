@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "core/walk.hpp"
+
 namespace slcube::core {
 
 SafetyVectors compute_safety_vectors(const topo::Hypercube& cube,
@@ -30,6 +32,9 @@ SafetyVectors compute_safety_vectors(const topo::Hypercube& cube,
 SourceDecision decide_at_source_sv(const topo::Hypercube& cube,
                                    const SafetyVectors& vectors, NodeId s,
                                    NodeId d) {
+  SLC_EXPECT_MSG(vectors.size() == cube.num_nodes() &&
+                     vectors.dimension() == cube.dimension(),
+                 "safety vectors are for a different cube");
   SourceDecision dec;
   const std::uint32_t nav = cube.navigation_vector(s, d);
   dec.hamming = bits::popcount(nav);
@@ -74,6 +79,40 @@ std::optional<Dim> choose_by_vector(const topo::Hypercube& cube,
   return pool[options.rng->below(qualifiers)];
 }
 
+/// Vector-guided routing as a walker view: V(j-1) picks the preferred
+/// hop, V(H+1) the spare, and the last hop delivers to d unconditionally
+/// (the only preferred neighbor IS d).
+struct SvView {
+  static constexpr bool kFinalHopRule = true;
+  static constexpr bool kSkipFeasibility = false;
+  static constexpr bool kEgs = false;
+
+  const topo::Hypercube& cube;
+  const SafetyVectors& vectors;
+  const UnicastOptions& options;
+
+  [[nodiscard]] SourceDecision decide(NodeId s, NodeId d) const {
+    return decide_at_source_sv(cube, vectors, s, d);
+  }
+  [[nodiscard]] std::optional<Dim> preferred(NodeId a, std::uint32_t nav,
+                                             unsigned*) const {
+    return choose_by_vector(cube, vectors, a, nav, options);
+  }
+  /// Lowest spare dimension onto a node whose V(H+1) bit covers the new
+  /// distance.
+  [[nodiscard]] std::optional<Dim> spare(NodeId a, std::uint32_t nav,
+                                         unsigned*) const {
+    const unsigned h = bits::popcount(nav);
+    std::optional<Dim> pick;
+    bits::for_each_clear(nav, cube.dimension(), [&](Dim dim) {
+      if (!pick && vectors.bit(cube.neighbor(a, dim), h + 1)) pick = dim;
+    });
+    return pick;
+  }
+  [[nodiscard]] static bool link_faulty(NodeId, Dim) { return false; }
+  [[nodiscard]] static Level self_level(NodeId) { return 0; }
+};
+
 }  // namespace
 
 RouteResult route_unicast_sv(const topo::Hypercube& cube,
@@ -82,59 +121,13 @@ RouteResult route_unicast_sv(const topo::Hypercube& cube,
                              const UnicastOptions& options) {
   SLC_EXPECT_MSG(faults.is_healthy(s), "unicast source must be healthy");
   SLC_EXPECT_MSG(faults.is_healthy(d), "unicast destination must be healthy");
-
+  // Untraced: a vector has no single level for a HopEvent to report.
   RouteResult result;
-  result.decision = decide_at_source_sv(cube, vectors, s, d);
-  result.path.push_back(s);
-
-  std::uint32_t nav = cube.navigation_vector(s, d);
-  if (nav == 0) {
-    result.status = RouteStatus::kDeliveredOptimal;
-    return result;
-  }
-
-  NodeId cur = s;
-  bool suboptimal = false;
-  if (!result.decision.optimal_feasible()) {
-    if (!result.decision.c3) {
-      result.status = RouteStatus::kSourceRefused;
-      return result;
-    }
-    // Spare detour onto a node whose V(H+1) bit covers the new distance.
-    std::optional<Dim> spare;
-    bits::for_each_clear(nav, cube.dimension(), [&](Dim dim) {
-      if (!spare &&
-          vectors.bit(cube.neighbor(cur, dim), result.decision.hamming + 1)) {
-        spare = dim;
-      }
-    });
-    SLC_ASSERT_MSG(spare.has_value(), "C3 held but no spare qualified");
-    cur = cube.neighbor(cur, *spare);
-    nav |= bits::unit(*spare);
-    result.path.push_back(cur);
-    suboptimal = true;
-  }
-
-  while (nav != 0) {
-    if (bits::popcount(nav) == 1) {  // the only preferred neighbor is d
-      cur = cube.neighbor(cur, bits::lowest_set(nav));
-      nav = 0;
-      result.path.push_back(cur);
-      break;
-    }
-    const auto next = choose_by_vector(cube, vectors, cur, nav, options);
-    if (!next) {
-      result.status = RouteStatus::kStuck;
-      return result;
-    }
-    cur = cube.neighbor(cur, *next);
-    nav &= ~bits::unit(*next);
-    result.path.push_back(cur);
-  }
-
-  SLC_ASSERT(cur == d);
-  result.status = suboptimal ? RouteStatus::kDeliveredSuboptimal
-                             : RouteStatus::kDeliveredOptimal;
+  NullJudge judge;
+  NullObserver observer;
+  result.status = to_route_status(walk(SvView{cube, vectors, options}, judge,
+                                       observer, s, d, result.decision,
+                                       result.path));
   return result;
 }
 

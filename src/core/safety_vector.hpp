@@ -94,6 +94,7 @@ class SafetyVectors {
 /// Route a unicast guided by vectors: at each intermediate node with
 /// remaining distance j, forward to a preferred neighbor whose V(j-1)
 /// bit is set (lowest dimension among them, or random per options).
+/// options.trace is ignored: a vector has no single level to report.
 [[nodiscard]] RouteResult route_unicast_sv(const topo::Hypercube& cube,
                                            const fault::FaultSet& faults,
                                            const SafetyVectors& vectors,

@@ -54,7 +54,7 @@ struct UnicastOptions {
   Xoshiro256ss* rng = nullptr;
   /// When non-null, the route emits structured events (source decision,
   /// every hop, spare detour, terminal status) to this sink. The default
-  /// null sink costs one branch per decision.
+  /// null sink costs one branch per route (see core/walk.hpp).
   obs::TraceSink* trace = nullptr;
 };
 

@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "common/contracts.hpp"
+#include "core/walk.hpp"
 #include "obs/profiler.hpp"
 
 namespace slcube::svc {
@@ -29,104 +30,40 @@ const char* to_string(ServeStatus s) {
 
 namespace {
 
-/// Why the live network blocked a traversal the decision table allowed,
-/// or nullopt when the hop lands. Checked against ground truth only —
-/// the decision snapshot already vouched for the hop.
-std::optional<ServeStatus> traversal_block(const Snapshot& ground,
-                                           NodeId from, Dim dim, NodeId to) {
-  if (ground.links.is_faulty(from, dim)) return ServeStatus::kDroppedLink;
-  if (ground.faults.is_faulty(to)) return ServeStatus::kDroppedNode;
-  return std::nullopt;
-}
+/// Judges every traversal against the ground truth `ground_of()` yields:
+/// the live overloads re-acquire per call, the deterministic overload
+/// always returns the same snapshot. Only ground truth is consulted — the
+/// decision snapshot already vouched for the hop.
+template <typename GroundFn>
+struct SnapshotJudge {
+  GroundFn& ground_of;
+  /// Highest epoch consulted so far (epochs are published in order).
+  std::uint64_t ground_epoch = 0;
 
-/// Lazy trace emission, same discipline as route_unicast_egs: the source
-/// event waits for the first hop so the chosen dimension is known, and
-/// every terminal path emits it first if nothing did yet. Drops speak
-/// the sim dialect — a send/drop pair for the fatal hop plus a "lost"
-/// route_done over the hops that actually landed — which is exactly the
-/// in-flight-death shape obs::AuditSink accepts.
-struct Emitter {
-  obs::TraceSink* trace = nullptr;
-  const core::SourceDecision* dec = nullptr;
-  core::Level self_level = 0;
-  NodeId s = 0;
-  NodeId d = 0;
-  bool source_emitted = false;
-
-  void source(int chosen_dim, unsigned ties, bool spare) {
-    if (trace == nullptr || source_emitted) return;
-    source_emitted = true;
-    obs::SourceDecisionEvent ev;
-    ev.source = s;
-    ev.dest = d;
-    ev.hamming = dec->hamming;
-    ev.c1 = dec->c1;
-    ev.c2 = dec->c2;
-    ev.c3 = dec->c3;
-    ev.chosen_dim = chosen_dim;
-    ev.ties = ties;
-    ev.spare = spare;
-    ev.egs = true;
-    ev.self_level = self_level;
-    ev.dest_link_faulty = dec->dest_link_faulty;
-    trace->on_event(ev);
+  std::optional<core::WalkEnd> launch(NodeId s) {
+    const Snapshot& ground = ground_of();
+    ground_epoch = ground.epoch;
+    if (ground.faults.is_faulty(s)) return core::WalkEnd::kDroppedSource;
+    return std::nullopt;
   }
 
-  void hop(NodeId from, NodeId to, Dim dim, core::Level level,
-           std::uint32_t nav_before, std::uint32_t nav_after, bool preferred,
-           unsigned ties) {
-    if (trace == nullptr) return;
-    obs::HopEvent ev;
-    ev.from = from;
-    ev.to = to;
-    ev.dim = dim;
-    ev.level = level;
-    ev.nav_before = nav_before;
-    ev.nav_after = nav_after;
-    ev.preferred = preferred;
-    ev.ties = ties;
-    trace->on_event(ev);
+  std::optional<core::WalkEnd> traverse(NodeId from, Dim dim, NodeId to) {
+    const Snapshot& ground = ground_of();
+    ground_epoch = ground.epoch;
+    if (ground.links.is_faulty(from, dim)) return core::WalkEnd::kDroppedLink;
+    if (ground.faults.is_faulty(to)) return core::WalkEnd::kDroppedNode;
+    return std::nullopt;
   }
 
-  void dropped_in_flight(NodeId from, NodeId to, ServeStatus why,
-                         std::uint64_t epoch) {
-    if (trace == nullptr) return;
-    obs::MessageSendEvent send;
-    send.time = epoch;
-    send.from = from;
-    send.to = to;
-    send.kind = obs::MsgKind::kUnicast;
-    trace->on_event(send);
-    obs::MessageDropEvent drop;
-    drop.time = epoch;
-    drop.from = from;
-    drop.to = to;
-    drop.kind = obs::MsgKind::kUnicast;
-    drop.reason =
-        why == ServeStatus::kDroppedLink ? "faulty-link" : "dead-node";
-    trace->on_event(drop);
-  }
-
-  void done(const char* status, unsigned hops) {
-    if (trace == nullptr) return;
-    obs::RouteDoneEvent ev;
-    ev.source = s;
-    ev.dest = d;
-    ev.status = status;
-    ev.hops = hops;
-    trace->on_event(ev);
-  }
+  [[nodiscard]] std::uint64_t epoch() const { return ground_epoch; }
 };
 
-/// The walker. `ground_of()` yields the ground-truth snapshot to judge
-/// the next traversal against; the live overloads re-acquire per call,
-/// the deterministic overload always returns the same one. Decisions
-/// come from `decision` only and replicate route_unicast_egs exactly
-/// (same choose_spare / choose_preferred / footnote-3 final-hop logic,
-/// default lowest-dim tie-break), so with ground == decision the result
-/// is bit-identical to the core router.
+/// Decisions come from `decision` only, through the same walker and EGS
+/// view as core::route_unicast_egs (default lowest-dim tie-break), so
+/// with ground == decision the result is bit-identical to the core
+/// router; the snapshot judge adds the launch check and the drops.
 template <typename GroundFn>
-ServeResult serve_impl(const topo::Hypercube& cube, const Snapshot& decision,
+ServeResult serve_walk(const topo::Hypercube& cube, const Snapshot& decision,
                        GroundFn&& ground_of, NodeId s, NodeId d,
                        const ServeOptions& options) {
   const obs::StageScope stage("svc.serve");
@@ -134,128 +71,23 @@ ServeResult serve_impl(const topo::Hypercube& cube, const Snapshot& decision,
                  "serve source must be healthy in the decision snapshot");
   SLC_EXPECT_MSG(decision.faults.is_healthy(d),
                  "serve destination must be healthy in the decision snapshot");
+  static_assert(static_cast<int>(ServeStatus::kRefused) ==
+                    static_cast<int>(core::WalkEnd::kRefused) &&
+                static_cast<int>(ServeStatus::kDroppedLink) ==
+                    static_cast<int>(core::WalkEnd::kDroppedLink));
 
-  const core::UnicastOptions uopt{};  // lowest-dim ties: deterministic
-  obs::TraceSink* const trace = options.trace;
-  const core::EgsViews views = decision.views();
-
+  const core::UnicastOptions lowest_dim{};
+  const core::EgsView view{cube, decision.links, decision.views(),
+                           lowest_dim};
+  SnapshotJudge<GroundFn> judge{ground_of};
   ServeResult result;
-  result.decision = core::decide_at_source_egs(cube, decision.links, views,
-                                               s, d);
   result.decision_epoch = decision.epoch;
-  result.path.push_back(s);
-
-  Emitter emit{trace, &result.decision, views.self_view[s], s, d};
-
-  // Launch check: a source that died after the decision epoch was
-  // published sends nothing — not even a refusal.
-  {
-    const Snapshot& ground = ground_of();
-    result.ground_epoch = ground.epoch;
-    if (ground.faults.is_faulty(s)) {
-      result.status = ServeStatus::kDroppedSource;
-      emit.source(-1, 0, false);
-      emit.done("lost", 0);
-      return result;
-    }
-  }
-
-  std::uint32_t nav = cube.navigation_vector(s, d);
-  if (nav == 0) {
-    result.status = ServeStatus::kDeliveredOptimal;
-    emit.source(-1, 0, false);
-    emit.done("delivered-optimal", 0);
-    return result;
-  }
-
-  NodeId cur = s;
-  bool suboptimal = false;
-
-  // Shared drop epilogue: the fatal hop emitted no HopEvent (it never
-  // landed), so reported hops == landed hops == path length - 1.
-  const auto drop_at = [&](ServeStatus why, NodeId from, NodeId to) {
-    result.status = why;
-    emit.source(-1, 0, false);  // no-op when a hop already emitted it
-    emit.dropped_in_flight(from, to, why, result.ground_epoch);
-    emit.done("lost", result.hops());
-  };
-
-  if (!result.decision.optimal_feasible()) {
-    if (!result.decision.c3) {
-      result.status = ServeStatus::kRefused;
-      emit.source(-1, 0, false);
-      emit.done("source-refused", 0);
-      return result;
-    }
-    unsigned ties = 0;
-    const auto spare =
-        core::choose_spare(cube, views.public_view, cur, nav, uopt,
-                           trace != nullptr ? &ties : nullptr);
-    SLC_ASSERT_MSG(spare.has_value(), "C3 held but no spare qualified");
-    SLC_ASSERT(!decision.links.is_faulty(cur, *spare));
-    const NodeId detour = cube.neighbor(cur, *spare);
-    emit.source(static_cast<int>(*spare), ties, true);
-    const Snapshot& ground = ground_of();
-    result.ground_epoch = ground.epoch;
-    if (const auto blocked = traversal_block(ground, cur, *spare, detour)) {
-      drop_at(*blocked, cur, detour);
-      return result;
-    }
-    emit.hop(cur, detour, *spare, views.public_view[detour], nav,
-             nav | bits::unit(*spare), false, ties);
-    cur = detour;
-    nav |= bits::unit(*spare);
-    result.path.push_back(cur);
-    suboptimal = true;
-  }
-
-  while (nav != 0) {
-    Dim dim;
-    unsigned ties = 1;
-    const bool final_hop = bits::popcount(nav) == 1;
-    if (final_hop) {
-      // Footnote 3: the last preferred neighbor IS the destination; the
-      // decision table delivers across the link iff it believes the link
-      // is healthy, even when the destination is an N2 node it otherwise
-      // treats as faulty.
-      dim = bits::lowest_set(nav);
-      if (decision.links.is_faulty(cur, dim)) {
-        result.status = ServeStatus::kStuck;
-        emit.source(-1, 0, false);
-        emit.done("stuck", result.hops());
-        return result;
-      }
-    } else {
-      const auto next =
-          core::choose_preferred(cube, views.public_view, cur, nav, uopt,
-                                 trace != nullptr ? &ties : nullptr);
-      if (!next || decision.links.is_faulty(cur, *next)) {
-        result.status = ServeStatus::kStuck;
-        emit.source(-1, 0, false);
-        emit.done("stuck", result.hops());
-        return result;
-      }
-      dim = *next;
-    }
-    const NodeId to = cube.neighbor(cur, dim);
-    emit.source(static_cast<int>(dim), ties, false);
-    const Snapshot& ground = ground_of();
-    result.ground_epoch = ground.epoch;
-    if (const auto blocked = traversal_block(ground, cur, dim, to)) {
-      drop_at(*blocked, cur, to);
-      return result;
-    }
-    emit.hop(cur, to, dim, views.public_view[to], nav,
-             nav & ~bits::unit(dim), true, ties);
-    cur = to;
-    nav &= ~bits::unit(dim);
-    result.path.push_back(cur);
-  }
-
-  SLC_ASSERT(cur == d);
-  result.status = suboptimal ? ServeStatus::kDeliveredSuboptimal
-                             : ServeStatus::kDeliveredOptimal;
-  emit.done(to_string(result.status), result.hops());
+  result.status = static_cast<ServeStatus>(
+      core::with_observer(options.trace, [&](auto& observer) {
+        return core::walk(view, judge, observer, s, d, result.decision,
+                          result.path);
+      }));
+  result.ground_epoch = judge.ground_epoch;
   return result;
 }
 
@@ -267,7 +99,7 @@ ServeResult serve_route(const Snapshot& decision, const Snapshot& ground,
                      ground.links.cube().num_nodes(),
                  "decision and ground snapshots must share a cube");
   const topo::Hypercube& cube = decision.links.cube();
-  return serve_impl(
+  return serve_walk(
       cube, decision, [&]() -> const Snapshot& { return ground; }, s, d,
       options);
 }
@@ -279,7 +111,7 @@ ServeResult serve_route(const SnapshotOracle& oracle,
   // `hold` keeps each re-acquired ground epoch alive across its check;
   // the previous epoch may be freed as soon as the next one replaces it.
   SnapshotPtr hold;
-  return serve_impl(
+  return serve_walk(
       oracle.cube(), *decision,
       [&]() -> const Snapshot& {
         hold = oracle.acquire();

@@ -18,9 +18,12 @@
 //     the latest published epoch; a hop onto a ground-faulty node or
 //     across a ground-faulty link drops the message.
 //
+// Both roles plug into the one forwarding loop, core::walk (walk.hpp):
+// the decision snapshot is its EGS view, the ground truth its judge.
 // When ground == decision (no churn since acquire) the walk reproduces
-// core::route_unicast_egs bit-for-bit — same status, same path — which
-// test_snapshot_oracle pins. When they differ, the result records how
+// core::route_unicast_egs bit-for-bit — same status, same path, same
+// event chain — which test_snapshot_oracle and test_route_equivalence
+// pin. When they differ, the result records how
 // far behind the decision epoch was and what the staleness cost:
 // delivered anyway, delivered on the H+2 spare detour, or dropped.
 #pragma once

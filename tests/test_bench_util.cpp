@@ -1,10 +1,13 @@
 // bench::Options::try_parse — the testable core of the experiment
-// binaries' flag parsing: valid flag sets fill the struct, unknown flags
-// and trailing flags with a missing value are rejected with an error
-// message that names the offending flag.
+// binaries' flag parsing: valid flag sets fill the struct; unknown flags,
+// trailing flags with a missing value and numeric values that are not
+// plain in-range unsigned decimals are rejected with an error message
+// that names the offending flag.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,6 +90,44 @@ TEST(BenchUtil, RejectsTrailingFlagMissingItsValue) {
     EXPECT_NE(error.find(flag), std::string::npos) << error;
     EXPECT_NE(error.find("missing its value"), std::string::npos) << error;
   }
+}
+
+TEST(BenchUtil, ParseUnsignedAcceptsPlainDecimalsOnly) {
+  EXPECT_EQ(parse_unsigned<unsigned>("0"), 0u);
+  EXPECT_EQ(parse_unsigned<unsigned>("4294967295"), 4294967295u);
+  EXPECT_EQ(parse_unsigned<std::uint64_t>("18446744073709551615"),
+            18446744073709551615ull);
+  EXPECT_EQ(parse_unsigned<std::uint32_t>("007"), 7u);
+  for (const char* bad : {"", "abc", "-1", "+3", " 3", "3 ", "1.5", "12k",
+                          "0x10", "1e3", "4294967296"}) {
+    EXPECT_EQ(parse_unsigned<unsigned>(bad), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(parse_unsigned<std::uint64_t>("18446744073709551616"),
+            std::nullopt);
+  EXPECT_EQ(parse_unsigned<unsigned>(nullptr), std::nullopt);
+}
+
+TEST(BenchUtil, RejectsMalformedNumericValuesByFlag) {
+  for (const char* flag :
+       {"--dim", "--trials", "--seed", "--threads", "--sample-ms"}) {
+    for (const char* bad : {"abc", "-1", "+4", "2.5", "8x", ""}) {
+      Argv a({flag, bad});
+      Options o;
+      std::string error;
+      EXPECT_FALSE(Options::try_parse(a.argc(), a.argv(), o, error))
+          << flag << " '" << bad << "'";
+      EXPECT_NE(error.find(flag), std::string::npos) << error;
+      EXPECT_NE(error.find("unsigned integer"), std::string::npos) << error;
+    }
+  }
+  // Values past the field's range are rejected, not wrapped.
+  Argv wide({"--threads", "4294967296"});
+  Options o;
+  std::string error;
+  EXPECT_FALSE(Options::try_parse(wide.argc(), wide.argv(), o, error));
+  Argv seed({"--seed", "18446744073709551615"});
+  ASSERT_TRUE(Options::try_parse(seed.argc(), seed.argv(), o, error)) << error;
+  EXPECT_EQ(o.seed, 18446744073709551615ull);
 }
 
 TEST(BenchUtil, TelemetrySessionIsGatedOnTheFlag) {
