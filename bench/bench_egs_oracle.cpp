@@ -12,8 +12,11 @@
 //   C  N-way   + incremental EgsOracle
 // All three consume the identical counter-based RNG substreams, so their
 // outcome tallies (folded into an order-sensitive digest) must match
-// bit-for-bit — the run aborts loudly if they do not. --bench-json
-// writes the BENCH_EGS_ORACLE.json artifact the CI perf gate checks.
+// bit-for-bit — the run aborts loudly if they do not, or if B and C
+// disagree on the oracle's cascade work. --bench-json writes the
+// BENCH_EGS_ORACLE.json artifact the CI perf gate checks, including run
+// B's cascade counters (oracle_recomputes / _level_changes / _rebuilds),
+// which gate exactly.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -37,12 +40,22 @@ struct Tally {
   std::uint64_t stuck = 0;
 };
 
+/// Public-view cascade work summed over missions (zero for run A). The
+/// counts are deterministic, so --bench-json gates them exactly.
+struct CascadeWork {
+  std::uint64_t recomputes = 0;
+  std::uint64_t level_changes = 0;
+  std::uint64_t rebuilds = 0;
+  bool operator==(const CascadeWork&) const = default;
+};
+
 struct RunResult {
   double wall_ms = 0.0;
   double utilization = 0.0;
   std::uint64_t digest = 0;  ///< order-sensitive fold over mission tallies
   unsigned workers = 1;
   Tally totals;
+  CascadeWork cascade;
 };
 
 /// One full sweep of `missions` independent missions; `use_oracle` picks
@@ -62,8 +75,13 @@ RunResult run_sweep(const topo::Hypercube& cube, unsigned missions,
 
   const std::uint64_t node_ceiling = 2 * cube.dimension();
   const std::size_t link_ceiling = 2 * cube.dimension();
+  struct MissionResult {
+    Tally tally;
+    CascadeWork cascade;
+  };
   const auto body = [&](exp::TrialContext& ctx) {
-        Tally out;
+        MissionResult mission;
+        Tally& out = mission.tally;
         fault::FaultSet f(cube.num_nodes());
         fault::LinkFaultSet lf(cube);
         core::EgsOracle oracle(cube);  // fault-free start: O(N) fill
@@ -124,13 +142,16 @@ RunResult run_sweep(const topo::Hypercube& cube, unsigned missions,
             out.stuck += r.status == core::RouteStatus::kStuck;
           }
         }
-        return out;
+        const core::SafetyOracle::Stats& work = oracle.pseudo_stats();
+        mission.cascade = {work.recomputes, work.level_changes,
+                           work.rebuilds};
+        return mission;
   };
 
   exp::EngineTiming timing;
-  std::vector<Tally> tallies;
+  std::vector<MissionResult> tallies;
   if (!hooks.enabled()) {
-    tallies = engine.map<Tally>(0, missions, body, &timing);
+    tallies = engine.map<MissionResult>(0, missions, body, &timing);
   } else {
     timing.trial_latency_us = obs::HistogramData(exp::trial_latency_bounds());
     const std::size_t batch = std::max<std::size_t>(1, (missions + 7) / 8);
@@ -139,7 +160,7 @@ RunResult run_sweep(const topo::Hypercube& cube, unsigned missions,
     for (std::size_t off = 0; off < missions; off += batch) {
       const std::size_t n = std::min<std::size_t>(batch, missions - off);
       exp::EngineTiming bt;
-      auto part = engine.map<Tally>(0, n, body, &bt, off);
+      auto part = engine.map<MissionResult>(0, n, body, &bt, off);
       tallies.insert(tallies.end(), part.begin(), part.end());
       timing.wall_ms += bt.wall_ms;
       util_weighted += bt.utilization * bt.wall_ms;
@@ -151,7 +172,10 @@ RunResult run_sweep(const topo::Hypercube& cube, unsigned missions,
   }
   result.wall_ms = timing.wall_ms;
   result.utilization = timing.utilization;
-  for (const Tally& t : tallies) {
+  for (const auto& [t, work] : tallies) {
+    result.cascade.recomputes += work.recomputes;
+    result.cascade.level_changes += work.level_changes;
+    result.cascade.rebuilds += work.rebuilds;
     result.digest = exp::mix64(result.digest ^ t.optimal);
     result.digest = exp::mix64(result.digest ^ t.suboptimal);
     result.digest = exp::mix64(result.digest ^ t.refused);
@@ -186,10 +210,11 @@ int main(int argc, char** argv) {
       run_sweep(cube, missions, events, pairs, seed, opt.threads, true);
 
   const bool identical = serial_scratch.digest == serial_oracle.digest &&
-                         serial_oracle.digest == parallel_oracle.digest;
+                         serial_oracle.digest == parallel_oracle.digest &&
+                         serial_oracle.cascade == parallel_oracle.cascade;
   if (!identical) {
-    std::cerr << "FATAL: tallies diverged between runs — the EGS oracle or "
-                 "the engine is not deterministic\n";
+    std::cerr << "FATAL: tallies or cascade work diverged between runs — "
+                 "the EGS oracle or the engine is not deterministic\n";
     return 1;
   }
 
@@ -263,6 +288,12 @@ int main(int argc, char** argv) {
         << "  \"speedup_threads\": " << speedup_threads << ",\n"
         << "  \"speedup_total\": " << speedup_total << ",\n"
         << "  \"tallies_identical\": true,\n"
+        << "  \"oracle_recomputes\": " << serial_oracle.cascade.recomputes
+        << ",\n"
+        << "  \"oracle_level_changes\": "
+        << serial_oracle.cascade.level_changes << ",\n"
+        << "  \"oracle_rebuilds\": " << serial_oracle.cascade.rebuilds
+        << ",\n"
         << "  \"digest\": " << serial_scratch.digest << "\n"
         << "}\n";
   }

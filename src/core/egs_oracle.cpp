@@ -10,9 +10,14 @@ namespace {
 
 /// The pseudo-fault set the public view is the fixed point of: real
 /// faults plus every healthy node with an adjacent faulty link (N2).
+/// Checks the constructor's preconditions before reading either set.
 fault::FaultSet make_pseudo(const topo::Hypercube& cube,
                             const fault::FaultSet& faults,
                             const fault::LinkFaultSet& links) {
+  SLC_EXPECT_MSG(faults.num_nodes() == cube.num_nodes(),
+                 "node fault set is for a different cube");
+  SLC_EXPECT_MSG(links.cube().num_nodes() == cube.num_nodes(),
+                 "link fault set is for a different cube");
   fault::FaultSet pseudo = faults;
   for (NodeId a = 0; a < cube.num_nodes(); ++a) {
     if (faults.is_healthy(a) && links.touches(a)) pseudo.mark_faulty(a);
@@ -44,8 +49,6 @@ EgsOracle::EgsOracle(const topo::Hypercube& cube,
       self_view_(pseudo_.levels()),
       in_n2_(static_cast<std::size_t>(cube.num_nodes()), 0),
       dirty_mark_(static_cast<std::size_t>(cube.num_nodes()), 0) {
-  SLC_EXPECT(faults.num_nodes() == cube.num_nodes());
-  SLC_EXPECT(link_faults.cube().num_nodes() == cube.num_nodes());
   pseudo_.set_change_log(&changed_);
   for (NodeId a = 0; a < cube_.num_nodes(); ++a) {
     if (faults_.is_healthy(a) && links_.touches(a)) {
@@ -82,17 +85,9 @@ Level EgsOracle::self_level_of(NodeId a) {
 void EgsOracle::apply_toggles(std::span<const NodeId> node_toggles,
                               std::span<const LinkToggle> link_toggles) {
   const obs::StageScope stage("egs.apply");
-  // Phase 1 — toggle the real state, collecting `touched`: the nodes
-  // whose pseudo status or N2 membership may have moved. Dedup matters:
-  // the pseudo delta below must list each node at most once.
-  std::vector<NodeId> touched;
-  const auto touch = [&](NodeId x) {
-    if (dirty_mark_[x] == 0) {
-      dirty_mark_[x] = 1;
-      dirty_.push_back(x);
-      touched.push_back(x);
-    }
-  };
+  // Phase 1 — toggle the real state, marking dirty every touched node:
+  // those whose pseudo status or N2 membership may have moved. Until
+  // phase 4 extends it, dirty_ lists exactly the touched nodes, once each.
   for (const NodeId a : node_toggles) {
     SLC_EXPECT(cube_.contains(a));
     if (faults_.is_faulty(a)) {
@@ -100,7 +95,7 @@ void EgsOracle::apply_toggles(std::span<const NodeId> node_toggles,
     } else {
       faults_.mark_faulty(a);
     }
-    touch(a);
+    mark_dirty(a);
     ++stats_.node_events;
   }
   for (const auto& [a, d] : link_toggles) {
@@ -110,41 +105,25 @@ void EgsOracle::apply_toggles(std::span<const NodeId> node_toggles,
     } else {
       links_.mark_faulty(a, d);
     }
-    touch(a);
-    touch(b);
+    mark_dirty(a);
+    mark_dirty(b);
     ++stats_.link_events;
   }
 
   // Phase 2 — restore the public view. The pseudo set changed exactly
-  // where a touched node's membership (fault ∪ N2) flipped.
+  // where a touched node's membership (fault ∪ N2) flipped; the pseudo
+  // oracle's apply() picks cascade or rebuild, and a rebuild logs every
+  // node, which forces the full self-view resync below.
   changed_.clear();
-  std::vector<NodeId> to_add;
-  std::vector<NodeId> to_remove;
-  for (const NodeId x : touched) {
+  pseudo_toggles_.clear();
+  for (const NodeId x : dirty_) {
     const bool want = faults_.is_faulty(x) || links_.touches(x);
-    if (want == pseudo_.faults().is_faulty(x)) continue;
-    (want ? to_add : to_remove).push_back(x);
+    if (want != pseudo_.faults().is_faulty(x)) pseudo_toggles_.push_back(x);
   }
-  const std::size_t delta = to_add.size() + to_remove.size();
-  if (retarget_prefers_rebuild(delta, cube_.num_nodes())) {
-    // Hand retarget the full pseudo target. Its delta is this exact
-    // pseudo delta, so the shared predicate guarantees it takes the
-    // rebuild fallback; the rebuild logs every node, which forces the
-    // full self-view resync below.
-    pseudo_.retarget(make_pseudo(cube_, faults_, links_));
-  } else if (delta <= 4) {
-    // Single-event hot path: skip the scratch FaultSet allocation.
-    for (const NodeId x : to_add) pseudo_.add_fault(x);
-    for (const NodeId x : to_remove) pseudo_.remove_fault(x);
-  } else {
-    fault::FaultSet batch(cube_.num_nodes());
-    for (const NodeId x : to_add) batch.mark_faulty(x);
-    for (const NodeId x : to_remove) batch.mark_faulty(x);
-    pseudo_.apply(batch);
-  }
+  pseudo_.apply(pseudo_toggles_);
 
   // Phase 3 — N2 membership bookkeeping for the touched nodes.
-  for (const NodeId x : touched) {
+  for (const NodeId x : dirty_) {
     const std::uint8_t now =
         (faults_.is_healthy(x) && links_.touches(x)) ? 1 : 0;
     if (now != in_n2_[x]) {

@@ -105,10 +105,9 @@ class EgsOracle {
              std::span<const LinkToggle> link_toggles);
 
   /// Move to an arbitrary configuration by toggling both symmetric
-  /// differences — the sweep-engine entry point. Inherits SafetyOracle's
-  /// rebuild fallback: a large pseudo delta triggers one from-scratch
-  /// GS, whose change log covers every node and forces a full self-view
-  /// resync, so retarget is never asymptotically worse than run_egs.
+  /// differences — the sweep-engine entry point. The cascade-vs-rebuild
+  /// choice is SafetyOracle::apply's on the pseudo delta; a rebuild logs
+  /// every node and so forces a full self-view resync.
   void retarget(const fault::FaultSet& target_faults,
                 const fault::LinkFaultSet& target_links);
 
@@ -146,6 +145,8 @@ class EgsOracle {
   std::vector<std::uint8_t> in_n2_;
   /// Pseudo-oracle change log (registered once, cleared per batch).
   std::vector<NodeId> changed_;
+  /// Scratch for apply_toggles: the batch's pseudo-set toggles.
+  std::vector<NodeId> pseudo_toggles_;
   /// Scratch for apply_toggles: dirty list + membership stamps.
   std::vector<NodeId> dirty_;
   std::vector<std::uint8_t> dirty_mark_;

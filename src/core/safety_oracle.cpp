@@ -3,6 +3,18 @@
 
 namespace slcube::core {
 
+namespace {
+
+/// Checked before the initial build reads `faults` against `cube`.
+const fault::FaultSet& sized_for(const topo::Hypercube& cube,
+                                 const fault::FaultSet& faults) {
+  SLC_EXPECT_MSG(faults.num_nodes() == cube.num_nodes(),
+                 "node fault set is for a different cube");
+  return faults;
+}
+
+}  // namespace
+
 SafetyOracle::SafetyOracle(const topo::Hypercube& cube)
     : cube_(cube),
       faults_(cube.num_nodes()),
@@ -14,11 +26,9 @@ SafetyOracle::SafetyOracle(const topo::Hypercube& cube,
                            const fault::FaultSet& faults,
                            unsigned build_threads)
     : cube_(cube),
-      faults_(faults),
-      levels_(compute_safety_levels(cube, faults, build_threads)),
-      queued_(static_cast<std::size_t>(cube.num_nodes()), 0) {
-  SLC_EXPECT(faults.num_nodes() == cube.num_nodes());
-}
+      faults_(sized_for(cube, faults)),
+      levels_(compute_safety_levels(cube, faults_, build_threads)),
+      queued_(static_cast<std::size_t>(cube.num_nodes()), 0) {}
 
 void SafetyOracle::push(NodeId a) {
   if (queued_[a] == 0 && faults_.is_healthy(a)) {
@@ -35,10 +45,9 @@ void SafetyOracle::cascade() {
   const std::uint64_t hard_cap =
       cube_.num_nodes() * (cube_.dimension() + 1) * cube_.dimension() + 1;
   std::uint64_t steps = 0;
-  while (!worklist_.empty()) {
+  for (std::size_t head = 0; head < worklist_.size(); ++head) {
     SLC_ASSERT_MSG(++steps <= hard_cap, "oracle cascade failed to converge");
-    const NodeId a = worklist_.back();
-    worklist_.pop_back();
+    const NodeId a = worklist_[head];
     queued_[a] = 0;
     if (faults_.is_faulty(a)) continue;  // died while queued (batch adds)
     const Level updated = implied_level(cube_, faults_, levels_, a);
@@ -49,44 +58,58 @@ void SafetyOracle::cascade() {
     ++stats_.level_changes;
     cube_.for_each_neighbor(a, [&](Dim, NodeId b) { push(b); });
   }
+  worklist_.clear();
   ++stats_.cascades;
 }
 
 void SafetyOracle::add_fault(NodeId a) {
   SLC_EXPECT_MSG(faults_.is_healthy(a), "add_fault on an already-faulty node");
-  faults_.mark_faulty(a);
-  levels_[a] = 0;
-  if (change_log_ != nullptr) change_log_->push_back(a);
-  cube_.for_each_neighbor(a, [&](Dim, NodeId b) { push(b); });
-  cascade();
+  const NodeId one[] = {a};
+  apply(one);
 }
 
 void SafetyOracle::remove_fault(NodeId a) {
   SLC_EXPECT_MSG(faults_.is_faulty(a), "remove_fault on a healthy node");
-  faults_.mark_healthy(a);
-  // The newcomer still holds level 0, which is exactly what its
-  // neighbors' implied levels already price in (faulty nodes read 0),
-  // so the state sits pointwise below the new fixed point and the
-  // cascade rises monotonically from the newcomer outward.
-  push(a);
-  cube_.for_each_neighbor(a, [&](Dim, NodeId b) { push(b); });
-  cascade();
+  const NodeId one[] = {a};
+  apply(one);
 }
 
-void SafetyOracle::apply(const fault::FaultSet& delta) {
+void SafetyOracle::apply(std::span<const NodeId> toggles) {
   const obs::StageScope stage("oracle.apply");
-  SLC_EXPECT(delta.num_nodes() == faults_.num_nodes());
-  if (delta.empty()) return;
-  // Falling phase: all additions at once, then one cascade. The
-  // partitions live in member arenas — apply() runs once per churn event
-  // in sweep loops, and per-call allocations thrash at mega-cube sizes.
+  if (toggles.empty()) return;
+  // Partition into additions and removals. queued_ is all-zero between
+  // cascades, so it doubles as the seen-mark that rejects a repeated id.
   std::vector<NodeId>& additions = additions_scratch_;
   std::vector<NodeId>& removals = removals_scratch_;
   additions.clear();
   removals.clear();
-  delta.for_each_faulty([&](NodeId a) {
+  for (const NodeId a : toggles) {
+    SLC_EXPECT_MSG(cube_.contains(a),
+                   "apply: toggle is not a node of the cube");
+    SLC_EXPECT_MSG(queued_[a] == 0, "apply: node toggled twice in one batch");
+    queued_[a] = 1;
     (faults_.is_healthy(a) ? additions : removals).push_back(a);
-  });
+  }
+  for (const NodeId a : toggles) queued_[a] = 0;
+
+  // The one cascade-vs-rebuild decision. Past the crossover a from-
+  // scratch GS is cheaper — same fixed point either way. Accounting
+  // contract: a rebuild bumps `rebuilds` only, so the cascade counters
+  // keep counting incremental work exclusively, and it logs every node
+  // so change-log consumers resync fully (a rebuild is O(N·n) already).
+  if (toggles.size() * kRetargetRebuildFactor >= cube_.num_nodes()) {
+    for (const NodeId a : additions) faults_.mark_faulty(a);
+    for (const NodeId a : removals) faults_.mark_healthy(a);
+    levels_ = compute_safety_levels(cube_, faults_);
+    ++stats_.rebuilds;
+    if (change_log_ != nullptr) {
+      for (NodeId a = 0; a < cube_.num_nodes(); ++a) {
+        change_log_->push_back(a);
+      }
+    }
+    return;
+  }
+  // Falling phase: all additions at once, then one cascade.
   if (!additions.empty()) {
     for (const NodeId a : additions) {
       faults_.mark_faulty(a);
@@ -98,7 +121,11 @@ void SafetyOracle::apply(const fault::FaultSet& delta) {
     }
     cascade();
   }
-  // Rising phase: all removals at once, then one cascade.
+  // Rising phase: all removals at once, then one cascade. A newcomer
+  // still holds level 0, which is exactly what its neighbors' implied
+  // levels already price in (faulty nodes read 0), so the state sits
+  // pointwise below the new fixed point and the cascade rises
+  // monotonically from the newcomers outward.
   if (!removals.empty()) {
     for (const NodeId a : removals) faults_.mark_healthy(a);
     for (const NodeId a : removals) {
@@ -112,46 +139,18 @@ void SafetyOracle::apply(const fault::FaultSet& delta) {
 void SafetyOracle::retarget(const fault::FaultSet& target) {
   const obs::StageScope stage("oracle.retarget");
   SLC_EXPECT(target.num_nodes() == faults_.num_nodes());
-  if (target == faults_) return;
-  // Word-at-a-time symmetric difference into the reusable scratch set:
-  // O(N/64) xor+popcount instead of N is_faulty probes and a fresh
-  // allocation per retarget — the sweep-engine entry point runs this
-  // once per trial.
-  if (delta_scratch_.num_nodes() != faults_.num_nodes()) {
-    delta_scratch_ = fault::FaultSet(faults_.num_nodes());
-  } else {
-    delta_scratch_.clear();
-  }
-  fault::FaultSet& delta = delta_scratch_;
-  std::uint64_t delta_count = 0;
+  // Word-at-a-time symmetric difference into reusable scratch: O(N/64)
+  // xor + bit scans instead of N is_faulty probes per retarget.
+  std::vector<NodeId>& toggles = toggles_scratch_;
+  toggles.clear();
   const auto& have = faults_.words();
   const auto& want = target.words();
   for (std::size_t w = 0; w < have.size(); ++w) {
-    std::uint64_t x = have[w] ^ want[w];
-    delta_count += bits::popcount64(x);
-    bits::for_each_set64(x, [&](unsigned b) {
-      delta.mark_faulty(static_cast<NodeId>(w * 64 + b));
+    bits::for_each_set64(have[w] ^ want[w], [&](unsigned b) {
+      toggles.push_back(static_cast<NodeId>(w * 64 + b));
     });
   }
-  // Past the cost-model crossover, rebuild — same fixed point either
-  // way. Accounting contract: the fallback bumps `rebuilds` only; the
-  // cascade counters (recomputes/level_changes/cascades) keep counting
-  // incremental work exclusively, so cost-model consumers can compare
-  // the two strategies without the rebuild polluting the cascade side.
-  if (retarget_prefers_rebuild(delta_count, cube_.num_nodes())) {
-    faults_ = target;
-    levels_ = compute_safety_levels(cube_, faults_);
-    ++stats_.rebuilds;
-    if (change_log_ != nullptr) {
-      // The whole table was rewritten; report every node as changed so
-      // log consumers resync fully (a rebuild is already O(N·n) work).
-      for (NodeId a = 0; a < cube_.num_nodes(); ++a) {
-        change_log_->push_back(a);
-      }
-    }
-    return;
-  }
-  apply(delta);
+  apply(toggles);
 }
 
 }  // namespace slcube::core

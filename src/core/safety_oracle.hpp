@@ -17,7 +17,10 @@
 //    new fixed point) every recomputation can only RAISE one. Each
 //    monotone phase therefore terminates — a level moves at most n
 //    times — which is why apply() splits a mixed batch into a falling
-//    phase (all additions) and a rising phase (all removals).
+//    phase (all additions) and a rising phase (all removals). The
+//    worklist drains FIFO: a node is recomputed after every input queued
+//    before it, so it tends to settle in one step instead of falling one
+//    level per re-enqueue as a LIFO stack lets it.
 //  * Theorem 1: the consistent assignment is unique. Any quiescent
 //    state (every healthy node equals its implied level) IS the from-
 //    scratch fixed point, so incremental results are bit-identical to
@@ -26,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/global_status.hpp"
@@ -33,24 +37,11 @@
 
 namespace slcube::core {
 
-/// Retarget cost model (measured; EXPERIMENTS.md "Incremental oracle
-/// cost model"): a cascade costs roughly this many node_status
-/// recomputes per toggled node, while a from-scratch GS costs a few
-/// sweeps over all N nodes — so incremental retargeting only wins below
-/// about N / kRetargetRebuildFactor toggles.
+/// Cascade-vs-rebuild crossover, applied in one place: SafetyOracle::apply
+/// rebuilds from scratch once a batch toggles N / kRetargetRebuildFactor
+/// nodes or more, and cascades below that. Measured with the work
+/// counters in EXPERIMENTS.md "Incremental oracle cost model".
 inline constexpr std::uint64_t kRetargetRebuildFactor = 48;
-
-/// The shared fallback predicate: both SafetyOracle::retarget and
-/// EgsOracle's batched update take the from-scratch rebuild iff this
-/// holds for their delta (node toggles for the former, pseudo-set
-/// toggles for the latter). EgsOracle hands its rebuild to
-/// SafetyOracle::retarget with exactly that pseudo delta, so sharing the
-/// predicate is what guarantees the inner retarget takes the rebuild
-/// branch it was promised — keep every call site on this function.
-[[nodiscard]] constexpr bool retarget_prefers_rebuild(
-    std::uint64_t delta_count, std::uint64_t num_nodes) noexcept {
-  return delta_count * kRetargetRebuildFactor >= num_nodes;
-}
 
 class SafetyOracle {
  public:
@@ -71,71 +62,67 @@ class SafetyOracle {
   /// The current Theorem-1 fixed point for faults().
   [[nodiscard]] const SafetyLevels& levels() const noexcept { return levels_; }
 
-  /// Healthy node `a` dies; the falling cascade restores the fixed point.
+  /// Healthy node `a` dies: apply() with the single toggle {a}.
   void add_fault(NodeId a);
 
-  /// Faulty node `a` recovers; the rising cascade restores the fixed
-  /// point (the node rejoins at 0 — see Network::recover_node for why
-  /// pessimism is what makes the rejoin monotone).
+  /// Faulty node `a` recovers: apply() with the single toggle {a}. The
+  /// node rejoins at 0 — see Network::recover_node for why pessimism is
+  /// what makes the rejoin monotone.
   void remove_fault(NodeId a);
 
-  /// Batched update: every node set in `delta` toggles its fault state.
-  /// Additions are applied first (one falling cascade), then removals
-  /// (one rising cascade) — cheaper than n single-node cascades and
-  /// still bit-identical to a from-scratch recomputation.
-  void apply(const fault::FaultSet& delta);
+  /// The one update entry point: every node in `toggles` (in range, each
+  /// at most once) toggles its fault state. Below N /
+  /// kRetargetRebuildFactor toggles, additions run as one falling cascade
+  /// and then removals as one rising cascade; at or past it the table is
+  /// rebuilt from scratch. Either way the result is bit-identical to
+  /// compute_safety_levels.
+  void apply(std::span<const NodeId> toggles);
 
-  /// Move to an arbitrary new fault set by applying the symmetric
+  /// Move to an arbitrary new fault set: apply() of the symmetric
   /// difference with the current one — the sweep-engine entry point.
-  /// When the difference is small (an evolving machine) the cascades are
-  /// far below a full rebuild; when it is large (independent samples),
-  /// retarget falls back to a from-scratch recomputation, so it is never
-  /// asymptotically worse than compute_safety_levels.
   void retarget(const fault::FaultSet& target);
 
   /// Work counters since construction (cost-model instrumentation; see
   /// EXPERIMENTS.md "Incremental oracle cost model"). Accounting
   /// contract: the first three count *incremental* cascade work only —
-  /// a retarget that hits the rebuild fallback bumps `rebuilds` and
-  /// nothing else, and a retarget to the current fault set is a free
+  /// an apply() that rebuilds bumps `rebuilds` and nothing else, and an
+  /// empty apply() (or a retarget to the current fault set) is a free
   /// no-op (no counter moves, no change-log entries).
   struct Stats {
     std::uint64_t recomputes = 0;     ///< node_status evaluations
     std::uint64_t level_changes = 0;  ///< recomputations that moved a level
     std::uint64_t cascades = 0;       ///< monotone phases drained
-    std::uint64_t rebuilds = 0;       ///< retargets that hit the fallback
+    std::uint64_t rebuilds = 0;       ///< applies that rebuilt instead
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
   /// When non-null, the id of every node whose *stored* level moves is
   /// appended: cascade updates, the forced zeroes of new faults, and —
-  /// after a retarget rebuild fallback — every node (the whole table was
-  /// rewritten). Duplicates are possible; the caller owns clearing the
-  /// vector between batches. This is the delta feed EgsOracle uses to
+  /// after a rebuild — every node (the whole table was rewritten).
+  /// Duplicates are possible; the caller owns clearing the vector
+  /// between batches. This is the delta feed EgsOracle uses to
   /// resync the EGS self view without rescanning the cube.
   void set_change_log(std::vector<NodeId>* log) noexcept { change_log_ = log; }
 
  private:
   /// Queue `a` for recomputation (dedup; faulty nodes never enqueue).
   void push(NodeId a);
-  /// Drain the worklist: recompute each queued node, propagate changes
-  /// to its neighbors until quiescence.
+  /// Drain the worklist FIFO: recompute each queued node, propagate
+  /// changes to its neighbors until quiescence.
   void cascade();
 
   topo::Hypercube cube_;
   fault::FaultSet faults_;
   SafetyLevels levels_;
+  /// Cascade queue: drained from a head index, cleared once quiescent.
   std::vector<NodeId> worklist_;
   std::vector<std::uint8_t> queued_;  ///< worklist membership, by node
   std::vector<NodeId>* change_log_ = nullptr;
   Stats stats_;
-  // Reusable scratch for apply()/retarget(): per-call O(N)-ish temporaries
-  // (the symmetric-difference set and the addition/removal partitions)
-  // would otherwise be reallocated on every sweep trial — at Q16+ that
-  // allocator thrash dominates the cascades themselves. Behavior is
-  // pinned unchanged by the oracle bit-identity tests and the checked-in
-  // bench digests.
-  fault::FaultSet delta_scratch_;
+  // Reusable scratch for apply()/retarget(): per-call temporaries would
+  // otherwise be reallocated on every churn event and sweep trial — at
+  // Q16+ that allocator thrash dominates the cascades themselves.
+  std::vector<NodeId> toggles_scratch_;
   std::vector<NodeId> additions_scratch_;
   std::vector<NodeId> removals_scratch_;
 };

@@ -142,8 +142,8 @@ class SnapshotOracle {
   void apply(std::span<const NodeId> node_toggles,
              std::span<const core::EgsOracle::LinkToggle> link_toggles);
 
-  /// Move to an arbitrary configuration (symmetric-difference toggles,
-  /// rebuild fallback inherited from the oracles); publishes one epoch
+  /// Move to an arbitrary configuration (symmetric-difference toggles;
+  /// core::SafetyOracle::apply picks cascade or rebuild); publishes one epoch
   /// even when nothing changed, so callers can use it as a barrier.
   void retarget(const fault::FaultSet& target_faults,
                 const fault::LinkFaultSet& target_links);

@@ -187,23 +187,22 @@ TEST(EgsOracle, RetargetToCurrentConfigurationIsFree) {
   expect_matches_scratch(oracle, "retarget to current");
 }
 
-// EgsOracle hands its rebuild decision to the shared predicate on the
-// *pseudo* delta, which is exactly the delta the inner
-// SafetyOracle::retarget recomputes — so whenever the outer threshold
-// fires, the inner one must fire too (one rebuild, never a monster
-// cascade). A batch of node kills just past the crossover pins it.
+// EgsOracle hands its *pseudo* delta to SafetyOracle::apply, the single
+// place that chooses between cascade and rebuild — so a batch whose
+// pseudo delta reaches the crossover rebuilds exactly once (never a
+// monster cascade), and one toggle fewer cascades. A batch of node kills
+// at the crossover pins it.
 TEST(EgsOracle, PseudoDeltaThresholdAlignsWithInnerRetarget) {
   const topo::Hypercube q(8);  // 256 nodes: crossover at ceil(256/48) = 6
   EgsOracle oracle(q);
   const std::uint64_t crossover =
       (q.num_nodes() + core::kRetargetRebuildFactor - 1) /
       core::kRetargetRebuildFactor;
-  ASSERT_TRUE(core::retarget_prefers_rebuild(crossover, q.num_nodes()));
   std::vector<NodeId> kills;
   for (NodeId a = 0; kills.size() < crossover; ++a) kills.push_back(a);
   oracle.apply(kills, {});
   EXPECT_EQ(oracle.pseudo_stats().rebuilds, 1u)
-      << "outer threshold fired but the inner retarget cascaded";
+      << "pseudo delta at the crossover cascaded";
   expect_matches_scratch(oracle, "threshold-aligned batch");
   // One node short of the crossover must cascade, not rebuild.
   EgsOracle below(q);
@@ -211,6 +210,21 @@ TEST(EgsOracle, PseudoDeltaThresholdAlignsWithInnerRetarget) {
   below.apply(fewer, {});
   EXPECT_EQ(below.pseudo_stats().rebuilds, 0u);
   expect_matches_scratch(below, "below-threshold batch");
+}
+
+// Both size preconditions are checked before the pseudo set is built
+// from the inputs.
+TEST(EgsOracleDeathTest, ConstructorChecksPreconditionsFirst) {
+  const topo::Hypercube q3(3);
+  const topo::Hypercube q4(4);
+  const fault::FaultSet faults3(q3.num_nodes());
+  const fault::FaultSet faults4(q4.num_nodes());
+  const fault::LinkFaultSet links3(q3);
+  const fault::LinkFaultSet links4(q4);
+  EXPECT_DEATH({ const EgsOracle oracle(q4, faults3, links4); },
+               "node fault set is for a different cube");
+  EXPECT_DEATH({ const EgsOracle oracle(q4, faults4, links3); },
+               "link fault set is for a different cube");
 }
 
 TEST(EgsOracle, StatsAccountForEventsAndCascades) {

@@ -65,7 +65,7 @@ TEST(SafetyOracle, ApplyMixedBatchMatchesScratch) {
   SafetyOracle oracle(q, start);
   // One batch that simultaneously adds {4, 5, 20} and removes {2, 33}.
   fault::FaultSet delta(q.num_nodes(), {4, 5, 20, 2, 33});
-  oracle.apply(delta);
+  oracle.apply(delta.faulty_nodes());
   expect_matches_scratch(oracle, "apply");
   EXPECT_TRUE(oracle.faults().is_faulty(4));
   EXPECT_TRUE(oracle.faults().is_healthy(2));
@@ -109,23 +109,38 @@ TEST(SafetyOracle, RetargetLargeDeltaFallsBackToRebuild) {
   expect_matches_scratch(oracle, "retarget(rebuild fallback)");
 }
 
-// The shared fallback predicate is the contract both oracles key off:
-// pin its boundary so a drive-by constant change cannot silently move
-// one caller and not the other.
-TEST(SafetyOracle, RetargetPredicateBoundary) {
-  constexpr std::uint64_t n = 1024;  // Q10
-  constexpr std::uint64_t crossover =
-      (n + kRetargetRebuildFactor - 1) / kRetargetRebuildFactor;
-  static_assert(!retarget_prefers_rebuild(0, n));
-  EXPECT_FALSE(retarget_prefers_rebuild(crossover - 1, n));
-  EXPECT_TRUE(retarget_prefers_rebuild(crossover, n));
-  EXPECT_TRUE(retarget_prefers_rebuild(n, n));
+// apply() is the one place that chooses between cascade and rebuild:
+// pin its boundary at ceil(N / kRetargetRebuildFactor) toggles, so a
+// drive-by constant change cannot move it unnoticed.
+TEST(SafetyOracle, ApplyRebuildBoundary) {
+  const topo::Hypercube q(10);
+  const std::uint64_t crossover =
+      (q.num_nodes() + kRetargetRebuildFactor - 1) / kRetargetRebuildFactor;
+  Xoshiro256ss rng(0xB0DE);
+  const auto base = fault::inject_uniform(q, 20, rng);
+  // Distinct random ids: those in `base` recover, the rest fail.
+  const auto toggles = [&](std::uint64_t count) {
+    return fault::inject_uniform(q, count, rng).faulty_nodes();
+  };
+
+  SafetyOracle below(q, base);
+  below.apply(toggles(crossover - 1));
+  EXPECT_EQ(below.stats().rebuilds, 0u) << "crossover - 1 toggles rebuilt";
+  EXPECT_GT(below.stats().cascades, 0u);
+  expect_matches_scratch(below, "apply(crossover - 1)");
+
+  SafetyOracle at(q, base);
+  at.apply(toggles(crossover));
+  EXPECT_EQ(at.stats().rebuilds, 1u) << "crossover toggles cascaded";
+  EXPECT_EQ(at.stats().cascades, 0u);
+  expect_matches_scratch(at, "apply(crossover)");
 }
 
-// The Stats accounting contract: the rebuild fallback bumps `rebuilds`
-// and nothing else (cascade counters keep counting incremental work
-// exclusively), the change log reports every node after a rebuild, and
-// a retarget to the current fault set is a free no-op.
+// The Stats accounting contract, for retarget and for a plain apply()
+// batch alike: a rebuild bumps `rebuilds` and nothing else (cascade
+// counters keep counting incremental work exclusively), the change log
+// reports every node after a rebuild, and an empty update is a free
+// no-op.
 TEST(SafetyOracle, RetargetAccountingContract) {
   const topo::Hypercube q(7);
   Xoshiro256ss rng(0xACC7);
@@ -134,42 +149,133 @@ TEST(SafetyOracle, RetargetAccountingContract) {
   oracle.set_change_log(&log);
 
   // Empty delta: no counters move, no log entries appear.
-  const SafetyOracle::Stats before_noop = oracle.stats();
-  oracle.retarget(oracle.faults());
-  EXPECT_EQ(oracle.stats().recomputes, before_noop.recomputes);
-  EXPECT_EQ(oracle.stats().level_changes, before_noop.level_changes);
-  EXPECT_EQ(oracle.stats().cascades, before_noop.cascades);
-  EXPECT_EQ(oracle.stats().rebuilds, before_noop.rebuilds);
-  EXPECT_TRUE(log.empty());
+  const auto expect_free_noop = [&](const auto& update, const char* what) {
+    log.clear();
+    const SafetyOracle::Stats before = oracle.stats();
+    update();
+    EXPECT_EQ(oracle.stats().recomputes, before.recomputes) << what;
+    EXPECT_EQ(oracle.stats().level_changes, before.level_changes) << what;
+    EXPECT_EQ(oracle.stats().cascades, before.cascades) << what;
+    EXPECT_EQ(oracle.stats().rebuilds, before.rebuilds) << what;
+    EXPECT_TRUE(log.empty()) << what;
+  };
+  expect_free_noop([&] { oracle.retarget(oracle.faults()); },
+                   "retarget to current");
+  expect_free_noop([&] { oracle.apply({}); }, "empty apply");
 
-  // Rebuild fallback: exactly one `rebuilds` bump, cascade counters
-  // untouched, and the log covers the whole (rewritten) table.
+  // Rebuild: exactly one `rebuilds` bump, cascade counters untouched,
+  // and the log covers the whole (rewritten) table.
+  const auto expect_rebuild_only = [&](const auto& update, const char* what) {
+    log.clear();
+    const SafetyOracle::Stats before = oracle.stats();
+    update();
+    EXPECT_EQ(oracle.stats().rebuilds, before.rebuilds + 1) << what;
+    EXPECT_EQ(oracle.stats().recomputes, before.recomputes) << what;
+    EXPECT_EQ(oracle.stats().level_changes, before.level_changes) << what;
+    EXPECT_EQ(oracle.stats().cascades, before.cascades) << what;
+    EXPECT_EQ(log.size(), q.num_nodes()) << what;
+    std::vector<bool> seen(q.num_nodes(), false);
+    for (const NodeId a : log) seen[a] = true;
+    for (NodeId a = 0; a < q.num_nodes(); ++a) {
+      ASSERT_TRUE(seen[a]) << what << ": change log missed node " << a;
+    }
+    expect_matches_scratch(oracle, what);
+  };
   const auto far_target = fault::inject_uniform(q, 30, rng);
-  const SafetyOracle::Stats before_rebuild = oracle.stats();
-  oracle.retarget(far_target);
-  EXPECT_EQ(oracle.stats().rebuilds, before_rebuild.rebuilds + 1);
-  EXPECT_EQ(oracle.stats().recomputes, before_rebuild.recomputes);
-  EXPECT_EQ(oracle.stats().level_changes, before_rebuild.level_changes);
-  EXPECT_EQ(oracle.stats().cascades, before_rebuild.cascades);
-  EXPECT_EQ(log.size(), q.num_nodes());
-  std::vector<bool> seen(q.num_nodes(), false);
-  for (const NodeId a : log) seen[a] = true;
-  for (NodeId a = 0; a < q.num_nodes(); ++a) {
-    ASSERT_TRUE(seen[a]) << "rebuild change log missed node " << a;
-  }
-  expect_matches_scratch(oracle, "rebuild accounting");
+  expect_rebuild_only([&] { oracle.retarget(far_target); },
+                      "retarget rebuild");
+  const std::uint64_t crossover =
+      (q.num_nodes() + kRetargetRebuildFactor - 1) / kRetargetRebuildFactor;
+  const auto batch = fault::inject_uniform(q, crossover, rng).faulty_nodes();
+  expect_rebuild_only([&] { oracle.apply(batch); }, "apply rebuild");
 
   // Incremental path: cascade counters move, `rebuilds` stays put.
-  log.clear();
+  const auto expect_cascade = [&](const auto& update, const char* what) {
+    const SafetyOracle::Stats before = oracle.stats();
+    update();
+    EXPECT_EQ(oracle.stats().rebuilds, before.rebuilds) << what;
+    EXPECT_GT(oracle.stats().recomputes, before.recomputes) << what;
+    EXPECT_GT(oracle.stats().cascades, before.cascades) << what;
+    expect_matches_scratch(oracle, what);
+  };
   fault::FaultSet near_target = oracle.faults();
   near_target.mark_faulty(near_target.healthy_nodes().front());
-  const SafetyOracle::Stats before_cascade = oracle.stats();
-  oracle.retarget(near_target);
-  EXPECT_EQ(oracle.stats().rebuilds, before_cascade.rebuilds);
-  EXPECT_GT(oracle.stats().recomputes, before_cascade.recomputes);
-  EXPECT_GT(oracle.stats().cascades, before_cascade.cascades);
-  expect_matches_scratch(oracle, "cascade accounting");
+  expect_cascade([&] { oracle.retarget(near_target); }, "retarget cascade");
+  const NodeId one[] = {oracle.faults().faulty_nodes().front()};
+  expect_cascade([&] { oracle.apply(one); }, "apply cascade");
   oracle.set_change_log(nullptr);
+}
+
+// Cascade work pin: an add-only N/64 burst on a 2% base stays below the
+// rebuild crossover, so it is pure cascade work, and that work must be a
+// small constant per level that moves. A LIFO worklist lets a node fall
+// one level per re-enqueue and breaks both bounds on these seeds (13.4
+// and 14.1 recomputes per change, 3.1x and 2.3x the necessary changes,
+// at Q16 and Q17); the FIFO worklist measures 2.6 and 1.05x / 1.09x.
+TEST(SafetyOracle, BurstCascadeWorkIsBounded) {
+  constexpr std::uint64_t kMaxRecomputesPerChange = 4;
+  // Q17, not Q18: at Q18 the burst's cascade alone takes ~1.7 s in the
+  // Debug+ASan build. The scratch builds use every hardware thread.
+  for (const unsigned dim : {16u, 17u}) {
+    const topo::Hypercube q(dim);
+    const std::uint64_t num = q.num_nodes();
+    Xoshiro256ss rng(0xB0257 + dim);
+    SafetyOracle oracle(q, fault::inject_uniform(q, num / 50, rng),
+                        /*build_threads=*/0);
+    std::vector<NodeId> burst;
+    std::vector<std::uint8_t> picked(num, 0);
+    while (burst.size() < num / 64) {
+      const auto a = static_cast<NodeId>(rng.below(num));
+      if (picked[a] != 0 || oracle.faults().is_faulty(a)) continue;
+      picked[a] = 1;
+      burst.push_back(a);
+    }
+    const SafetyLevels before = oracle.levels();
+    const SafetyOracle::Stats start = oracle.stats();
+    oracle.apply(burst);
+    const std::uint64_t recomputes =
+        oracle.stats().recomputes - start.recomputes;
+    const std::uint64_t changes =
+        oracle.stats().level_changes - start.level_changes;
+    ASSERT_EQ(oracle.stats().rebuilds, start.rebuilds) << "dim " << dim;
+    ASSERT_EQ(oracle.levels(), compute_safety_levels(q, oracle.faults(), 0))
+        << "dim " << dim;
+    // Healthy nodes whose level the burst really moved: the least work
+    // any cascade could do (the burst's own forced zeroes are not
+    // cascade work).
+    std::uint64_t differing = 0;
+    for (NodeId a = 0; a < num; ++a) {
+      differing += oracle.faults().is_healthy(a) &&
+                   oracle.levels()[a] != before[a];
+    }
+    ASSERT_GT(changes, 0u);
+    EXPECT_LE(recomputes, kMaxRecomputesPerChange * changes)
+        << "dim " << dim << ": " << recomputes << " recomputes for "
+        << changes << " level changes";
+    EXPECT_LE(changes * 10, differing * 11)
+        << "dim " << dim << ": " << changes << " level changes for "
+        << differing << " nodes that differ";
+  }
+}
+
+// Bad input fails loudly: every toggle must be a node of the cube, and
+// no node may toggle twice in one batch (it would be partitioned twice).
+TEST(SafetyOracleDeathTest, ApplyRejectsBadToggles) {
+  const topo::Hypercube q(4);
+  SafetyOracle oracle(q);
+  const NodeId out_of_range[] = {3, 16};
+  EXPECT_DEATH(oracle.apply(out_of_range), "toggle is not a node of the cube");
+  const NodeId repeated[] = {3, 5, 3};
+  EXPECT_DEATH(oracle.apply(repeated), "node toggled twice in one batch");
+}
+
+// The size precondition is checked before the initial build reads the
+// fault set against the cube.
+TEST(SafetyOracleDeathTest, ConstructorChecksFaultSetSizeFirst) {
+  const topo::Hypercube q(4);
+  const fault::FaultSet wrong(8);
+  EXPECT_DEATH({ const SafetyOracle oracle(q, wrong); },
+               "node fault set is for a different cube");
 }
 
 // The headline property test: >=10^4 randomized operation sequences.
@@ -228,7 +334,7 @@ TEST(SafetyOracle, RandomizedInterleavingsMatchScratch) {
                 mirror.mark_faulty(a);
               }
             }
-            oracle.apply(delta);
+            oracle.apply(delta.faulty_nodes());
             break;
           }
           default: {  // retarget (occasionally big enough to rebuild)
