@@ -126,10 +126,6 @@ int replay_trace(const std::string& path, unsigned n) {
                   static_cast<long long>(ev.integer("time")),
                   node_label(ev.integer("node"), n).c_str(),
                   kind == "node_fail" ? "failed" : "recovered");
-    } else if (kind == "span") {
-      std::printf("span %s: %.0f us (%lld item(s))\n",
-                  std::string(ev.str("name", "?")).c_str(), ev.num("micros"),
-                  static_cast<long long>(ev.integer("items")));
     } else if (kind == "sweep_point") {
       std::printf("sweep %s: faults=%lld wall=%.1f ms util=%.2f "
                   "trial p50/p90/p99=%.0f/%.0f/%.0f us\n",

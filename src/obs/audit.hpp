@@ -163,13 +163,6 @@ class AuditSink final : public TraceSink {
   bool finished_ = false;
 };
 
-/// Reconstruct a typed TraceEvent from one parsed JSONL line (the
-/// inverse of write_json for the dialect JsonlSink writes). Returns
-/// false when the "event" discriminator is missing or unknown. String
-/// fields are interned in a process-lifetime pool so the const char*
-/// members stay valid.
-[[nodiscard]] bool to_trace_event(const ParsedEvent& parsed, TraceEvent& out);
-
 /// Audit a whole JSONL trace file offline: parse, reconstruct, stream
 /// through an AuditSink, finish. `malformed` / `unknown` (optional)
 /// receive counts of unparseable lines / unknown event kinds.

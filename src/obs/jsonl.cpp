@@ -1,10 +1,50 @@
 #include "obs/jsonl.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 
 namespace slcube::obs {
+
+void write_quoted(std::ostream& os, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  os << '"';
+  std::size_t plain = 0;  // start of the current run of unescaped bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto byte = static_cast<unsigned char>(s[i]);
+    if (byte >= 0x20 && byte != '"' && byte != '\\') continue;
+    os.write(s.data() + plain, static_cast<std::streamsize>(i - plain));
+    plain = i + 1;
+    switch (byte) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\t': os << "\\t"; break;
+      case '\r': os << "\\r"; break;
+      default: os << "\\u00" << kHex[byte >> 4] << kHex[byte & 0xf];
+    }
+  }
+  os.write(s.data() + plain, static_cast<std::streamsize>(s.size() - plain));
+  os << '"';
+}
+
+std::ostream& ObjectWriter::key(std::string_view k) {
+  if (!first_) os_ << ',';
+  first_ = false;
+  write_quoted(os_, k);
+  return os_ << ':';
+}
+
+void ObjectWriter::num(std::string_view k, double v) {
+  std::ostream& os = key(k);
+  if (std::isfinite(v)) {
+    os << v;
+  } else {
+    os << "null";
+  }
+}
 
 bool ParsedEvent::has(std::string_view key) const {
   return fields.find(key) != fields.end();
@@ -14,6 +54,8 @@ double ParsedEvent::num(std::string_view key, double fallback) const {
   const auto it = fields.find(key);
   if (it == fields.end()) return fallback;
   if (const double* d = std::get_if<double>(&it->second)) return *d;
+  // Writers emit a non-finite number as null; read it back as NaN.
+  if (std::holds_alternative<std::nullptr_t>(it->second)) return std::nan("");
   return fallback;
 }
 
@@ -21,10 +63,10 @@ std::int64_t ParsedEvent::integer(std::string_view key,
                                   std::int64_t fallback) const {
   const auto it = fields.find(key);
   if (it == fields.end()) return fallback;
-  if (const double* d = std::get_if<double>(&it->second)) {
-    return static_cast<std::int64_t>(*d);
-  }
-  return fallback;
+  const double* d = std::get_if<double>(&it->second);
+  // Out of int64 range (or NaN) has no integer value; the cast would be UB.
+  if (d == nullptr || !(*d >= -0x1p63 && *d < 0x1p63)) return fallback;
+  return static_cast<std::int64_t>(*d);
 }
 
 bool ParsedEvent::boolean(std::string_view key, bool fallback) const {
@@ -86,7 +128,21 @@ bool parse_string(Cursor& c, std::string& out) {
         case 'n': out += '\n'; break;
         case 't': out += '\t'; break;
         case 'r': out += '\r'; break;
-        default: return false;  // \uXXXX etc. — not emitted by our writer
+        case 'u': {
+          // write_quoted emits \u00XX for control bytes; decode any ASCII
+          // code point, reject the rest (not emitted by our writers).
+          if (c.s.size() - c.pos < 4) return false;
+          const char* hex = c.s.data() + c.pos;
+          unsigned code = 0;
+          const auto [end, ec] = std::from_chars(hex, hex + 4, code, 16);
+          if (ec != std::errc{} || end != hex + 4 || code >= 0x80) {
+            return false;
+          }
+          c.pos += 4;
+          out += static_cast<char>(code);
+          break;
+        }
+        default: return false;
       }
     } else {
       out += ch;

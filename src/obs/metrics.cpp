@@ -4,6 +4,8 @@
 #include <atomic>
 #include <ostream>
 
+#include "obs/jsonl.hpp"
+
 namespace slcube::obs {
 
 // --- HistogramData ---------------------------------------------------------
@@ -340,11 +342,6 @@ MetricsSnapshot Registry::scrape() const {
   return snap;
 }
 
-Registry& Registry::global() {
-  static Registry registry;
-  return registry;
-}
-
 // --- snapshot lookups ------------------------------------------------------
 
 std::uint64_t MetricsSnapshot::counter(std::string_view name) const {
@@ -368,50 +365,20 @@ const HistogramData* MetricsSnapshot::histogram(std::string_view name) const {
   return nullptr;
 }
 
-namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void MetricsSnapshot::write_json(std::ostream& os) const {
-  os << '{';
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << ',';
-    first = false;
-  };
-  for (const auto& [name, v] : counters) {
-    sep();
-    write_json_string(os, name);
-    os << ':' << v;
-  }
-  for (const auto& [name, v] : gauges) {
-    sep();
-    write_json_string(os, name);
-    os << ':' << v;
-  }
+  ObjectWriter out(os);
+  for (const auto& [name, v] : counters) out.num(name, v);
+  for (const auto& [name, v] : gauges) out.num(name, v);
   for (const auto& [name, h] : histograms) {
-    sep();
-    write_json_string(os, name);
-    os << ":{\"count\":" << h.count << ",\"mean\":" << h.mean()
-       << ",\"p50\":" << h.quantile(0.50) << ",\"p90\":" << h.quantile(0.90)
-       << ",\"p99\":" << h.quantile(0.99) << ",\"p999\":" << h.quantile(0.999)
-       << ",\"max\":" << (h.count ? h.max_seen : 0.0) << '}';
+    ObjectWriter hist(out.key(name));
+    hist.num("count", h.count);
+    hist.num("mean", h.mean());
+    hist.num("p50", h.quantile(0.50));
+    hist.num("p90", h.quantile(0.90));
+    hist.num("p99", h.quantile(0.99));
+    hist.num("p999", h.quantile(0.999));
+    hist.num("max", h.count ? h.max_seen : 0.0);
   }
-  os << '}';
 }
 
 }  // namespace slcube::obs

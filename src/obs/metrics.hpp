@@ -153,9 +153,6 @@ class Registry {
   /// by the number of *live* writer threads, not the historical total).
   [[nodiscard]] std::size_t live_shards() const;
 
-  /// Process-wide default registry (for code without a natural owner).
-  static Registry& global();
-
  private:
   friend class Counter;
   friend class Gauge;

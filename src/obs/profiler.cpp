@@ -7,6 +7,8 @@
 #include <cstring>
 #include <ostream>
 
+#include "obs/jsonl.hpp"
+
 namespace slcube::obs {
 
 using Clock = std::chrono::steady_clock;
@@ -200,10 +202,18 @@ void write_stage_lines(std::ostream& os, const StageNode& node,
                        const std::string& prefix, unsigned depth,
                        unsigned threads) {
   const std::string path = prefix.empty() ? node.name : prefix + "/" + node.name;
-  os << "{\"event\":\"stage\",\"path\":\"" << path << "\",\"name\":\""
-     << node.name << "\",\"depth\":" << depth << ",\"count\":" << node.count
-     << ",\"total_us\":" << node.total_us << ",\"self_us\":" << node.self_us
-     << ",\"threads\":" << threads << "}\n";
+  {
+    ObjectWriter out(os);
+    out.str("event", "stage");
+    out.str("path", path);
+    out.str("name", node.name);
+    out.num("depth", depth);
+    out.num("count", node.count);
+    out.num("total_us", node.total_us);
+    out.num("self_us", node.self_us);
+    out.num("threads", threads);
+  }
+  os << '\n';
   for (const StageNode& c : node.children) {
     write_stage_lines(os, c, path, depth + 1, threads);
   }

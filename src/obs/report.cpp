@@ -5,6 +5,7 @@
 
 #include "common/contracts.hpp"
 #include "common/table.hpp"
+#include "obs/jsonl.hpp"
 
 namespace slcube::obs {
 
@@ -223,102 +224,67 @@ void AuditReport::render_text(std::ostream& os) const {
   }
 }
 
-namespace {
-
-/// Comma-managed emitter matching the trace writer's dialect (flat
-/// object, at most one level of nesting) so parse_jsonl_line reads the
-/// report back.
-class JsonObject {
- public:
-  explicit JsonObject(std::ostream& os, char open = '{') : os_(os) {
-    os_ << open;
-  }
-  void close() { os_ << '}'; }
-
-  std::ostream& key(const std::string& k) {
-    if (!first_) os_ << ',';
-    first_ = false;
-    os_ << '"';
-    for (const char c : k) {
-      if (c == '"' || c == '\\') os_ << '\\';
-      os_ << c;
-    }
-    os_ << "\":";
-    return os_;
-  }
-  void num(const std::string& k, std::uint64_t v) { key(k) << v; }
-  void num(const std::string& k, double v) { key(k) << v; }
-
- private:
-  std::ostream& os_;
-  bool first_ = true;
-};
-
-}  // namespace
-
 void AuditReport::write_json(std::ostream& os) const {
-  JsonObject top(os);
-  top.key("event") << "\"audit_report\"";
+  ObjectWriter top(os);
+  top.str("event", "audit_report");
   top.num("events", events);
   top.num("routes", routes);
   top.num("hops", hops);
   top.num("spare_hops", spare_hops);
   top.num("violations_total", violations_total);
 
-  const auto nested = [&](const std::string& name, auto&& fill) {
-    std::ostream& out = top.key(name);
-    JsonObject obj(out);
+  const auto nested = [&](std::string_view name, auto&& fill) {
+    ObjectWriter obj(top.key(name));
     fill(obj);
-    obj.close();
   };
 
-  nested("violations", [&](JsonObject& o) {
+  nested("violations", [&](ObjectWriter& o) {
     for (std::size_t i = 0; i < kNumViolationKinds; ++i) {
       o.num(to_string(static_cast<ViolationKind>(i)), violations_by_kind[i]);
     }
   });
-  nested("status", [&](JsonObject& o) {
+  nested("status", [&](ObjectWriter& o) {
     for (const auto& [status, n] : routes_by_status) o.num(status, n);
   });
-  nested("preferred_by_dim", [&](JsonObject& o) {
+  nested("preferred_by_dim", [&](ObjectWriter& o) {
     for (const auto& [d, n] : preferred_by_dim) o.num(std::to_string(d), n);
   });
-  nested("spare_by_dim", [&](JsonObject& o) {
+  nested("spare_by_dim", [&](ObjectWriter& o) {
     for (const auto& [d, n] : spare_by_dim) o.num(std::to_string(d), n);
   });
-  nested("spare_by_h", [&](JsonObject& o) {
+  nested("spare_by_h", [&](ObjectWriter& o) {
     for (const auto& [h, n] : spare_by_hamming) o.num(std::to_string(h), n);
   });
   top.num("gs_waves", gs_waves);
-  top.num("gs_max_round", static_cast<std::uint64_t>(gs_max_round));
-  nested("gs_changed", [&](JsonObject& o) {
+  top.num("gs_max_round", gs_max_round);
+  nested("gs_changed", [&](ObjectWriter& o) {
     for (const auto& [round, acc] : gs_curve) {
       o.num(std::to_string(round), acc.first);
     }
   });
-  nested("gs_waves_at", [&](JsonObject& o) {
+  nested("gs_waves_at", [&](ObjectWriter& o) {
     for (const auto& [round, acc] : gs_curve) {
       o.num(std::to_string(round), acc.second);
     }
   });
   top.num("misroutes", misroutes);
-  nested("misroutes_by_class", [&](JsonObject& o) {
+  nested("misroutes_by_class", [&](ObjectWriter& o) {
     for (const auto& [cls, n] : misroutes_by_class) o.num(cls, n);
   });
   top.num("sends", sends);
   top.num("drops", drops);
-  nested("drops_by_reason", [&](JsonObject& o) {
+  nested("drops_by_reason", [&](ObjectWriter& o) {
     for (const auto& [reason, n] : drops_by_reason) o.num(reason, n);
   });
   top.num("promoted_routes", promoted_routes);
   top.num("breadcrumb_routes", breadcrumb_routes);
-  nested("promoted_by_reason", [&](JsonObject& o) {
+  nested("promoted_by_reason", [&](ObjectWriter& o) {
     for (const auto& [reason, n] : promoted_by_reason) o.num(reason, n);
   });
   top.num("epochs_published", epochs_published);
   top.num("events_lost", events_lost);
-  const auto hist = [&](const std::string& name, const HistogramData& h) {
-    nested(name, [&](JsonObject& o) {
+  const auto hist = [&](std::string_view name, const HistogramData& h) {
+    nested(name, [&](ObjectWriter& o) {
       o.num("count", h.count);
       o.num("mean", h.mean());
       o.num("p50", h.quantile(0.5));
@@ -329,7 +295,6 @@ void AuditReport::write_json(std::ostream& os) const {
   hist("hops_hist", hops_per_route);
   top.num("sweep_points", sweep_points);
   hist("sweep_wall_ms", sweep_wall_ms);
-  top.close();
 }
 
 }  // namespace slcube::obs

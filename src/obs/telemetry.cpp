@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <ostream>
+#include <string>
+
+#include "obs/jsonl.hpp"
 
 namespace slcube::obs {
 
@@ -87,13 +90,6 @@ void InstrumentationHooks::tick() const {
 
 namespace {
 
-void write_key(std::ostream& os, std::string_view prefix,
-               std::string_view name, std::string_view suffix = {}) {
-  os << ",\"" << prefix << name;
-  if (!suffix.empty()) os << '.' << suffix;
-  os << "\":";
-}
-
 /// The histogram of activity between two samples: bucketwise difference.
 /// The interval extremes are unknowable from cumulative buckets, so the
 /// running extremes clamp the interpolation instead (still exact bounds
@@ -118,41 +114,33 @@ void write_timeseries_jsonl(std::ostream& os,
                             bool include_wall_time) {
   const TimeSample* prev = nullptr;
   for (const TimeSample& s : samples) {
-    os << "{\"event\":\"ts_sample\",\"tick\":" << s.tick;
-    if (include_wall_time) os << ",\"t_ms\":" << s.t_ms;
-    for (const auto& [name, v] : s.snapshot.counters) {
-      write_key(os, "c.", name);
-      os << v;
-      const std::uint64_t before = prev ? prev->snapshot.counter(name) : 0;
-      write_key(os, "d.", name);
-      os << (v >= before ? v - before : 0);
+    {
+      ObjectWriter out(os);
+      out.str("event", "ts_sample");
+      out.num("tick", s.tick);
+      if (include_wall_time) out.num("t_ms", s.t_ms);
+      for (const auto& [name, v] : s.snapshot.counters) {
+        out.num("c." + name, v);
+        const std::uint64_t before = prev ? prev->snapshot.counter(name) : 0;
+        out.num("d." + name, v >= before ? v - before : 0);
+      }
+      for (const auto& [name, v] : s.snapshot.gauges) out.num("g." + name, v);
+      for (const auto& [name, h] : s.snapshot.histograms) {
+        const HistogramData* before =
+            prev ? prev->snapshot.histogram(name) : nullptr;
+        const HistogramData d = interval_histogram(h, before);
+        const std::string key = "h." + name + '.';
+        out.num(key + "count", h.count);
+        out.num(key + "d_count", d.count);
+        out.num(key + "mean", d.mean());
+        out.num(key + "p50", d.quantile(0.50));
+        out.num(key + "p90", d.quantile(0.90));
+        out.num(key + "p99", d.quantile(0.99));
+        out.num(key + "p999", d.quantile(0.999));
+        out.num(key + "max", h.count ? h.max_seen : 0.0);
+      }
     }
-    for (const auto& [name, v] : s.snapshot.gauges) {
-      write_key(os, "g.", name);
-      os << v;
-    }
-    for (const auto& [name, h] : s.snapshot.histograms) {
-      const HistogramData* before =
-          prev ? prev->snapshot.histogram(name) : nullptr;
-      const HistogramData d = interval_histogram(h, before);
-      write_key(os, "h.", name, "count");
-      os << h.count;
-      write_key(os, "h.", name, "d_count");
-      os << d.count;
-      write_key(os, "h.", name, "mean");
-      os << d.mean();
-      write_key(os, "h.", name, "p50");
-      os << d.quantile(0.50);
-      write_key(os, "h.", name, "p90");
-      os << d.quantile(0.90);
-      write_key(os, "h.", name, "p99");
-      os << d.quantile(0.99);
-      write_key(os, "h.", name, "p999");
-      os << d.quantile(0.999);
-      write_key(os, "h.", name, "max");
-      os << (h.count ? h.max_seen : 0.0);
-    }
-    os << "}\n";
+    os << '\n';
     prev = &s;
   }
 }

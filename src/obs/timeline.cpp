@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <variant>
+
+#include "obs/trace.hpp"
 
 namespace slcube::obs {
 
@@ -15,96 +20,58 @@ constexpr int kTidEpochs = 1;
 constexpr int kTidRoutes = 2;
 constexpr int kTidBreadcrumbs = 3;
 
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-/// Comma-managed emitter for one trace event object inside the
-/// traceEvents array.
+/// One trace event object inside the traceEvents array: Chrome's
+/// ph/pid/tid header, then name/ts/dur/scope fields, then an "args"
+/// object opened by the first arg(). Numbers are written as doubles.
 class Event {
  public:
-  Event(std::ostream& os, bool& first, const char* phase, int tid) : os_(os) {
-    if (!first) os_ << ",\n";
-    first = false;
-    os_ << "{\"ph\":\"" << phase << "\",\"pid\":" << kPid
-        << ",\"tid\":" << tid;
-  }
-  ~Event() {
-    if (in_args_) os_ << '}';
-    os_ << '}';
+  Event(std::ostream& os, bool& first, const char* phase, int tid)
+      : obj_(separate(os, first)) {
+    obj_.str("ph", phase);
+    obj_.num("pid", kPid);
+    obj_.num("tid", tid);
   }
 
   Event& name(std::string_view v) {
-    os_ << ",\"name\":";
-    write_escaped(os_, v);
+    obj_.str("name", v);
     return *this;
   }
   Event& ts(double v) {
-    os_ << ",\"ts\":" << v;
+    obj_.num("ts", v);
     return *this;
   }
   Event& dur(double v) {
-    os_ << ",\"dur\":" << v;
+    obj_.num("dur", v);
     return *this;
   }
   Event& scope_thread() {  // instant scope: thread-local tick
-    os_ << ",\"s\":\"t\"";
+    obj_.str("s", "t");
     return *this;
   }
-  Event& arg(const char* key, double v) {
-    open_args();
-    os_ << '"' << key << "\":" << v;
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  Event& arg(const char* key, T v) {
+    args().num(key, static_cast<double>(v));
     return *this;
   }
   Event& arg(const char* key, std::string_view v) {
-    open_args();
-    os_ << '"' << key << "\":";
-    write_escaped(os_, v);
+    args().str(key, v);
     return *this;
   }
 
  private:
-  void open_args() {
-    if (!in_args_) {
-      os_ << ",\"args\":{";
-      in_args_ = true;
-    } else {
-      os_ << ',';
-    }
+  static std::ostream& separate(std::ostream& os, bool& first) {
+    if (!first) os << ",\n";
+    first = false;
+    return os;
   }
-  std::ostream& os_;
-  bool in_args_ = false;
-};
+  ObjectWriter& args() {
+    if (!args_) args_.emplace(obj_.key("args"));
+    return *args_;
+  }
 
-struct EpochRow {
-  double ts = 0;
-  double parent = 0;
-  std::string cause;
-  double node = -1;
-  double dim = -1;
-  double churn = 0;
-  double faults = 0;
-  double links = 0;
+  ObjectWriter obj_;
+  std::optional<ObjectWriter> args_;  // declared last: closes first
 };
 
 void write_thread_name(std::ostream& os, bool& first, int tid,
@@ -122,23 +89,22 @@ TimelineStats write_chrome_trace(std::ostream& os,
 
   // Pass 1: collect the epoch lineage so slices can span to their
   // successor and routes can name the churn that produced their epoch.
-  std::map<double, EpochRow> epochs;  // epoch number -> row
+  std::map<std::uint64_t, EpochPublishEvent> epochs;  // by epoch number
+  std::vector<RouteSummaryEvent> routes;              // in stream order
   double max_ts = 0;
-  for (const ParsedEvent& ev : events) {
-    if (ev.kind() == "epoch_publish") {
-      EpochRow row;
-      row.ts = ev.num("ts");
-      row.parent = ev.num("parent");
-      row.cause = std::string(ev.str("cause"));
-      row.node = ev.num("node", -1);
-      row.dim = ev.num("dim", -1);
-      row.churn = ev.num("churn");
-      row.faults = ev.num("faults");
-      row.links = ev.num("links");
-      epochs[ev.num("epoch")] = row;
-      max_ts = std::max(max_ts, row.ts);
-    } else if (ev.kind() == "route_summary") {
-      max_ts = std::max(max_ts, ev.num("route_id") + ev.num("hops") + 1);
+  for (const ParsedEvent& parsed : events) {
+    TraceEvent ev;
+    if (!to_trace_event(parsed, ev)) {
+      ++stats.events_skipped;
+    } else if (const auto* epoch = std::get_if<EpochPublishEvent>(&ev)) {
+      epochs[epoch->epoch] = *epoch;
+      max_ts = std::max(max_ts, static_cast<double>(epoch->ts));
+    } else if (const auto* route = std::get_if<RouteSummaryEvent>(&ev)) {
+      routes.push_back(*route);
+      max_ts = std::max(
+          max_ts, static_cast<double>(route->route_id + route->hops + 1));
+    } else {
+      ++stats.events_skipped;
     }
   }
 
@@ -159,17 +125,20 @@ TimelineStats write_chrome_trace(std::ostream& os,
   // one extends to the end of the observed axis).
   for (auto it = epochs.begin(); it != epochs.end(); ++it) {
     auto next = std::next(it);
-    const EpochRow& row = it->second;
-    double end = next != epochs.end() ? next->second.ts : max_ts + 1;
-    double dur = std::max(end - row.ts, 1.0);
+    const EpochPublishEvent& row = it->second;
+    const double start = static_cast<double>(row.ts);
+    const double end = next != epochs.end()
+                           ? static_cast<double>(next->second.ts)
+                           : max_ts + 1;
+    const double dur = std::max(end - start, 1.0);
     {
       Event ev(os, first, "X", kTidEpochs);
-      ev.name("epoch " + std::to_string(static_cast<std::int64_t>(it->first)))
-          .ts(row.ts)
+      ev.name("epoch " + std::to_string(it->first))
+          .ts(start)
           .dur(dur)
           .arg("epoch", it->first)
           .arg("parent", row.parent)
-          .arg("cause", std::string_view(row.cause))
+          .arg("cause", row.cause)
           .arg("churn", row.churn)
           .arg("faults", row.faults)
           .arg("links", row.links);
@@ -179,50 +148,38 @@ TimelineStats write_chrome_trace(std::ostream& os,
     ++stats.epoch_slices;
     if (row.churn > 0) {
       Event ev(os, first, "i", kTidEpochs);
-      ev.name("churn: " + row.cause).ts(row.ts).scope_thread().arg(
-          "records", row.churn);
+      ev.name("churn: " + std::string(row.cause))
+          .ts(start)
+          .scope_thread()
+          .arg("records", row.churn);
       ++stats.churn_instants;
     }
   }
 
   // Route slices and breadcrumb instants.
-  for (const ParsedEvent& ev : events) {
-    if (ev.kind() != "route_summary") {
-      if (ev.kind() != "epoch_publish") ++stats.events_skipped;
-      continue;
-    }
-    double route_id = ev.num("route_id");
-    double decision = ev.num("decision_epoch");
-    double ground = ev.num("ground_epoch");
-    std::string_view status = ev.str("status");
-    bool promoted = ev.boolean("promoted");
-    bool stale = ground > decision;
-    if (!promoted && !options.include_breadcrumbs) continue;
+  for (const RouteSummaryEvent& route : routes) {
+    if (!route.promoted && !options.include_breadcrumbs) continue;
 
-    Event out(os, first, promoted ? "X" : "i",
-              promoted ? kTidRoutes : kTidBreadcrumbs);
-    out.name("route " + std::to_string(static_cast<std::int64_t>(route_id)) +
-             " (" + std::string(status) + ")");
-    out.ts(route_id);
-    if (promoted) {
-      out.dur(std::max(ev.num("hops"), 1.0));
+    Event out(os, first, route.promoted ? "X" : "i",
+              route.promoted ? kTidRoutes : kTidBreadcrumbs);
+    out.name("route " + std::to_string(route.route_id) + " (" +
+             route.status + ")");
+    out.ts(static_cast<double>(route.route_id));
+    if (route.promoted) {
+      out.dur(std::max(static_cast<double>(route.hops), 1.0));
     } else {
       out.scope_thread();
     }
-    out.arg("decision_epoch", decision)
-        .arg("ground_epoch", ground)
-        .arg("status", status)
-        .arg("reason", ev.str("reason"))
-        .arg("hops", ev.num("hops"))
-        .arg("stale", stale ? 1.0 : 0.0);
-    if (ev.num("latency_us", -1.0) >= 0) {
-      out.arg("latency_us", ev.num("latency_us"));
-    }
-    auto it = epochs.find(decision);
-    if (it != epochs.end()) {
-      out.arg("decision_churn", std::string_view(it->second.cause));
-    }
-    if (promoted) {
+    out.arg("decision_epoch", route.decision_epoch)
+        .arg("ground_epoch", route.ground_epoch)
+        .arg("status", route.status)
+        .arg("reason", route.reason)
+        .arg("hops", route.hops)
+        .arg("stale", route.ground_epoch > route.decision_epoch ? 1.0 : 0.0);
+    if (route.latency_us >= 0) out.arg("latency_us", route.latency_us);
+    auto it = epochs.find(route.decision_epoch);
+    if (it != epochs.end()) out.arg("decision_churn", it->second.cause);
+    if (route.promoted) {
       ++stats.route_slices;
     } else {
       ++stats.breadcrumb_instants;

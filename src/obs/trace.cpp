@@ -1,9 +1,16 @@
 #include "obs/trace.hpp"
 
+#include <cmath>
+#include <concepts>
 #include <fstream>
 #include <ostream>
+#include <set>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "common/contracts.hpp"
+#include "obs/jsonl.hpp"
 
 namespace slcube::obs {
 
@@ -19,210 +26,271 @@ const char* to_string(MsgKind k) {
 
 namespace {
 
-struct NameVisitor {
-  const char* operator()(const SourceDecisionEvent&) const {
-    return "source_decision";
-  }
-  const char* operator()(const HopEvent&) const { return "hop"; }
-  const char* operator()(const RouteDoneEvent&) const { return "route_done"; }
-  const char* operator()(const GsRoundEvent&) const { return "gs_round"; }
-  const char* operator()(const MessageSendEvent&) const { return "send"; }
-  const char* operator()(const MessageDropEvent&) const { return "drop"; }
-  const char* operator()(const NodeFailEvent&) const { return "node_fail"; }
-  const char* operator()(const NodeRecoverEvent&) const {
-    return "node_recover";
-  }
-  const char* operator()(const MisrouteEvent&) const { return "misroute"; }
-  const char* operator()(const EpochPublishEvent&) const {
-    return "epoch_publish";
-  }
-  const char* operator()(const RouteSummaryEvent&) const {
-    return "route_summary";
-  }
-  const char* operator()(const SpanEvent&) const { return "span"; }
-  const char* operator()(const SweepPointEvent&) const { return "sweep_point"; }
+/// One wire key bound to the event member it carries.
+template <typename E, typename M>
+struct Field {
+  const char* key;
+  M E::*member;
 };
 
-/// Comma-managed field emitter for one JSON object.
-class Fields {
- public:
-  explicit Fields(std::ostream& os, const char* event) : os_(os) {
-    os_ << "{\"event\":\"" << event << '"';
-  }
-  ~Fields() { os_ << '}'; }
-  Fields(const Fields&) = delete;
-  Fields& operator=(const Fields&) = delete;
+/// The JSONL schema: each TraceEvent alternative's "event" name and its
+/// (key, member) pairs in wire order. This is the only place an event's
+/// keys are listed; event_name, write_json and to_trace_event all derive
+/// from it. Adding an alternative without a specialization fails to
+/// compile.
+template <typename E>
+struct Wire;
 
-  void num(const char* key, double v) { prefix(key) << v; }
-  void num(const char* key, std::uint64_t v) { prefix(key) << v; }
-  void num(const char* key, unsigned v) { prefix(key) << v; }
-  void num(const char* key, int v) { prefix(key) << v; }
-  void boolean(const char* key, bool v) {
-    prefix(key) << (v ? "true" : "false");
-  }
-  void str(const char* key, std::string_view v) {
-    auto& os = prefix(key);
-    os << '"';
-    for (const char c : v) {
-      if (c == '"' || c == '\\') os << '\\';
-      os << c;
-    }
-    os << '"';
-  }
-
-  std::ostream& raw(const char* key) { return prefix(key); }
-
- private:
-  std::ostream& prefix(const char* key) {
-    os_ << ",\"" << key << "\":";
-    return os_;
-  }
-  std::ostream& os_;
+template <>
+struct Wire<SourceDecisionEvent> {
+  using E = SourceDecisionEvent;
+  static constexpr const char* name = "source_decision";
+  static constexpr auto fields = std::tuple{
+      Field{"source", &E::source},
+      Field{"dest", &E::dest},
+      Field{"h", &E::hamming},
+      Field{"c1", &E::c1},
+      Field{"c2", &E::c2},
+      Field{"c3", &E::c3},
+      Field{"chosen_dim", &E::chosen_dim},
+      Field{"ties", &E::ties},
+      Field{"spare", &E::spare},
+      Field{"egs", &E::egs},
+      Field{"self_level", &E::self_level},
+      Field{"dest_link_faulty", &E::dest_link_faulty}};
 };
 
-struct JsonVisitor {
-  std::ostream& os;
-
-  void operator()(const SourceDecisionEvent& e) const {
-    Fields f(os, "source_decision");
-    f.num("source", e.source);
-    f.num("dest", e.dest);
-    f.num("h", e.hamming);
-    f.boolean("c1", e.c1);
-    f.boolean("c2", e.c2);
-    f.boolean("c3", e.c3);
-    f.num("chosen_dim", e.chosen_dim);
-    f.num("ties", e.ties);
-    f.boolean("spare", e.spare);
-    f.boolean("egs", e.egs);
-    f.num("self_level", e.self_level);
-    f.boolean("dest_link_faulty", e.dest_link_faulty);
-  }
-  void operator()(const HopEvent& e) const {
-    Fields f(os, "hop");
-    f.num("from", e.from);
-    f.num("to", e.to);
-    f.num("dim", e.dim);
-    f.num("level", e.level);
-    f.num("nav_before", e.nav_before);
-    f.num("nav_after", e.nav_after);
-    f.boolean("preferred", e.preferred);
-    f.num("ties", e.ties);
-  }
-  void operator()(const RouteDoneEvent& e) const {
-    Fields f(os, "route_done");
-    f.num("source", e.source);
-    f.num("dest", e.dest);
-    f.str("status", e.status);
-    f.num("hops", e.hops);
-  }
-  void operator()(const GsRoundEvent& e) const {
-    Fields f(os, "gs_round");
-    f.num("round", e.round);
-    f.num("changed", e.changed);
-    f.num("messages", e.messages);
-    f.num("time", e.sim_time);
-    f.boolean("egs", e.egs);
-    f.boolean("periodic", e.periodic);
-  }
-  void operator()(const MessageSendEvent& e) const {
-    Fields f(os, "send");
-    f.num("time", e.time);
-    f.num("from", e.from);
-    f.num("to", e.to);
-    f.str("kind", to_string(e.kind));
-  }
-  void operator()(const MessageDropEvent& e) const {
-    Fields f(os, "drop");
-    f.num("time", e.time);
-    f.num("from", e.from);
-    f.num("to", e.to);
-    f.str("kind", to_string(e.kind));
-    f.str("reason", e.reason);
-  }
-  void operator()(const NodeFailEvent& e) const {
-    Fields f(os, "node_fail");
-    f.num("time", e.time);
-    f.num("node", e.node);
-  }
-  void operator()(const NodeRecoverEvent& e) const {
-    Fields f(os, "node_recover");
-    f.num("time", e.time);
-    f.num("node", e.node);
-  }
-  void operator()(const MisrouteEvent& e) const {
-    Fields f(os, "misroute");
-    f.num("source", e.source);
-    f.num("dest", e.dest);
-    f.str("cls", e.cls);
-    f.num("drop_node", e.drop_node);
-    f.num("hops_taken", e.hops_taken);
-    f.boolean("ground_feasible", e.ground_feasible);
-  }
-  void operator()(const EpochPublishEvent& e) const {
-    Fields f(os, "epoch_publish");
-    f.num("epoch", e.epoch);
-    f.num("parent", e.parent);
-    f.str("cause", e.cause);
-    f.num("node", static_cast<int>(e.node));
-    f.num("dim", e.dim);
-    f.num("churn", e.churn);
-    f.num("faults", e.faults);
-    f.num("links", e.links);
-    f.num("ts", e.ts);
-  }
-  void operator()(const RouteSummaryEvent& e) const {
-    Fields f(os, "route_summary");
-    f.num("route_id", e.route_id);
-    f.num("decision_epoch", e.decision_epoch);
-    f.num("ground_epoch", e.ground_epoch);
-    f.str("status", e.status);
-    f.num("hops", e.hops);
-    f.num("latency_us", e.latency_us);
-    f.boolean("promoted", e.promoted);
-    f.str("reason", e.reason);
-  }
-  void operator()(const SpanEvent& e) const {
-    Fields f(os, "span");
-    f.str("name", e.name);
-    f.num("micros", e.micros);
-    f.num("items", e.items);
-  }
-  void operator()(const SweepPointEvent& e) const {
-    Fields f(os, "sweep_point");
-    f.str("sweep", e.sweep);
-    f.num("fault_count", e.fault_count);
-    f.num("wall_ms", e.wall_ms);
-    f.num("utilization", e.utilization);
-    f.num("threads", e.threads);
-    f.num("trial_p50_us", e.trial_p50_us);
-    f.num("trial_p90_us", e.trial_p90_us);
-    f.num("trial_p99_us", e.trial_p99_us);
-    auto& raw = f.raw("values");
-    raw << '{';
-    bool first = true;
-    for (const auto& [key, value] : e.values) {
-      if (!first) raw << ',';
-      first = false;
-      raw << '"';
-      for (const char c : key) {
-        if (c == '"' || c == '\\') raw << '\\';
-        raw << c;
-      }
-      raw << "\":" << value;
-    }
-    raw << '}';
-  }
+template <>
+struct Wire<HopEvent> {
+  using E = HopEvent;
+  static constexpr const char* name = "hop";
+  static constexpr auto fields = std::tuple{
+      Field{"from", &E::from},
+      Field{"to", &E::to},
+      Field{"dim", &E::dim},
+      Field{"level", &E::level},
+      Field{"nav_before", &E::nav_before},
+      Field{"nav_after", &E::nav_after},
+      Field{"preferred", &E::preferred},
+      Field{"ties", &E::ties}};
 };
+
+template <>
+struct Wire<RouteDoneEvent> {
+  using E = RouteDoneEvent;
+  static constexpr const char* name = "route_done";
+  static constexpr auto fields =
+      std::tuple{Field{"source", &E::source}, Field{"dest", &E::dest},
+                 Field{"status", &E::status}, Field{"hops", &E::hops}};
+};
+
+template <>
+struct Wire<GsRoundEvent> {
+  using E = GsRoundEvent;
+  static constexpr const char* name = "gs_round";
+  static constexpr auto fields = std::tuple{
+      Field{"round", &E::round},       Field{"changed", &E::changed},
+      Field{"messages", &E::messages}, Field{"time", &E::sim_time},
+      Field{"egs", &E::egs},           Field{"periodic", &E::periodic}};
+};
+
+template <>
+struct Wire<MessageSendEvent> {
+  using E = MessageSendEvent;
+  static constexpr const char* name = "send";
+  static constexpr auto fields =
+      std::tuple{Field{"time", &E::time}, Field{"from", &E::from},
+                 Field{"to", &E::to}, Field{"kind", &E::kind}};
+};
+
+template <>
+struct Wire<MessageDropEvent> {
+  using E = MessageDropEvent;
+  static constexpr const char* name = "drop";
+  static constexpr auto fields = std::tuple{
+      Field{"time", &E::time}, Field{"from", &E::from}, Field{"to", &E::to},
+      Field{"kind", &E::kind}, Field{"reason", &E::reason}};
+};
+
+template <>
+struct Wire<NodeFailEvent> {
+  using E = NodeFailEvent;
+  static constexpr const char* name = "node_fail";
+  static constexpr auto fields =
+      std::tuple{Field{"time", &E::time}, Field{"node", &E::node}};
+};
+
+template <>
+struct Wire<NodeRecoverEvent> {
+  using E = NodeRecoverEvent;
+  static constexpr const char* name = "node_recover";
+  static constexpr auto fields =
+      std::tuple{Field{"time", &E::time}, Field{"node", &E::node}};
+};
+
+template <>
+struct Wire<MisrouteEvent> {
+  using E = MisrouteEvent;
+  static constexpr const char* name = "misroute";
+  static constexpr auto fields = std::tuple{
+      Field{"source", &E::source},
+      Field{"dest", &E::dest},
+      Field{"cls", &E::cls},
+      Field{"drop_node", &E::drop_node},
+      Field{"hops_taken", &E::hops_taken},
+      Field{"ground_feasible", &E::ground_feasible}};
+};
+
+template <>
+struct Wire<EpochPublishEvent> {
+  using E = EpochPublishEvent;
+  static constexpr const char* name = "epoch_publish";
+  static constexpr auto fields = std::tuple{
+      Field{"epoch", &E::epoch},   Field{"parent", &E::parent},
+      Field{"cause", &E::cause},   Field{"node", &E::node},
+      Field{"dim", &E::dim},       Field{"churn", &E::churn},
+      Field{"faults", &E::faults}, Field{"links", &E::links},
+      Field{"ts", &E::ts}};
+};
+
+template <>
+struct Wire<RouteSummaryEvent> {
+  using E = RouteSummaryEvent;
+  static constexpr const char* name = "route_summary";
+  static constexpr auto fields = std::tuple{
+      Field{"route_id", &E::route_id},
+      Field{"decision_epoch", &E::decision_epoch},
+      Field{"ground_epoch", &E::ground_epoch},
+      Field{"status", &E::status},
+      Field{"hops", &E::hops},
+      Field{"latency_us", &E::latency_us},
+      Field{"promoted", &E::promoted},
+      Field{"reason", &E::reason}};
+};
+
+template <>
+struct Wire<SweepPointEvent> {
+  using E = SweepPointEvent;
+  static constexpr const char* name = "sweep_point";
+  static constexpr auto fields = std::tuple{
+      Field{"sweep", &E::sweep},
+      Field{"fault_count", &E::fault_count},
+      Field{"wall_ms", &E::wall_ms},
+      Field{"utilization", &E::utilization},
+      Field{"threads", &E::threads},
+      Field{"trial_p50_us", &E::trial_p50_us},
+      Field{"trial_p90_us", &E::trial_p90_us},
+      Field{"trial_p99_us", &E::trial_p99_us},
+      Field{"values", &E::values}};
+};
+
+using Values = std::vector<std::pair<std::string, double>>;
+
+/// Call f(key, member) for each wire field of `e`, in wire order.
+template <typename E, typename F>
+void for_each_field(E& e, F&& f) {
+  using Event = std::remove_const_t<E>;
+  std::apply(
+      [&](const auto&... field) { (f(field.key, e.*field.member), ...); },
+      Wire<Event>::fields);
+}
+
+// --- writing: one put() per member type ------------------------------------
+
+void put(ObjectWriter& out, const char* key, bool v) { out.boolean(key, v); }
+void put(ObjectWriter& out, const char* key, double v) { out.num(key, v); }
+void put(ObjectWriter& out, const char* key, const char* v) { out.str(key, v); }
+void put(ObjectWriter& out, const char* key, MsgKind v) {
+  out.str(key, to_string(v));
+}
+void put(ObjectWriter& out, const char* key, const Values& values) {
+  ObjectWriter nested(out.key(key));
+  for (const auto& [name, value] : values) nested.num(name, value);
+}
+template <std::integral T>
+void put(ObjectWriter& out, const char* key, T v) {
+  out.num(key, v);
+}
+
+// --- reading: the inverse of each put() ------------------------------------
+
+/// Process-lifetime string pool backing the const char* fields of
+/// reconstructed events (status/reason/cause strings normally point at
+/// string literals in the producers).
+const char* intern(std::string_view s) {
+  static std::mutex mutex;
+  static std::set<std::string, std::less<>> pool;
+  const std::scoped_lock lock(mutex);
+  auto it = pool.find(s);
+  if (it == pool.end()) it = pool.emplace(s).first;
+  return it->c_str();
+}
+
+void get(const ParsedEvent& p, const char* key, bool& m) {
+  m = p.boolean(key, m);
+}
+void get(const ParsedEvent& p, const char* key, double& m) {
+  m = p.num(key, m);
+}
+void get(const ParsedEvent& p, const char* key, const char*& m) {
+  m = intern(p.str(key, m));
+}
+void get(const ParsedEvent& p, const char* key, MsgKind& m) {
+  m = p.str(key, to_string(m)) == to_string(MsgKind::kUnicast)
+          ? MsgKind::kUnicast
+          : MsgKind::kLevelUpdate;
+}
+void get(const ParsedEvent& p, const char* key, Values& values) {
+  // The reader flattens the nested object into "<key>.<name>" entries.
+  const std::string prefix = std::string(key) + '.';
+  for (auto it = p.fields.lower_bound(prefix);
+       it != p.fields.end() && it->first.starts_with(prefix); ++it) {
+    const double* d = std::get_if<double>(&it->second);
+    values.emplace_back(it->first.substr(prefix.size()),
+                        d != nullptr ? *d : std::nan(""));
+  }
+}
+template <std::integral T>
+void get(const ParsedEvent& p, const char* key, T& m) {
+  m = static_cast<T>(p.integer(key, static_cast<std::int64_t>(m)));
+}
+
+/// Reconstruct `out` as an E when `parsed` carries E's event name.
+template <typename E>
+bool read_as(const ParsedEvent& parsed, TraceEvent& out) {
+  if (parsed.kind() != Wire<E>::name) return false;
+  E e;
+  for_each_field(e, [&](const char* key, auto& member) {
+    get(parsed, key, member);
+  });
+  out = std::move(e);
+  return true;
+}
 
 }  // namespace
 
 const char* event_name(const TraceEvent& ev) {
-  return std::visit(NameVisitor{}, ev);
+  return std::visit(
+      [](const auto& e) { return Wire<std::decay_t<decltype(e)>>::name; }, ev);
 }
 
 void write_json(std::ostream& os, const TraceEvent& ev) {
-  std::visit(JsonVisitor{os}, ev);
+  std::visit(
+      [&os](const auto& e) {
+        ObjectWriter out(os);
+        out.str("event", Wire<std::decay_t<decltype(e)>>::name);
+        for_each_field(e, [&out](const char* key, const auto& member) {
+          put(out, key, member);
+        });
+      },
+      ev);
+}
+
+bool to_trace_event(const ParsedEvent& parsed, TraceEvent& out) {
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return (read_as<std::variant_alternative_t<I, TraceEvent>>(parsed, out) ||
+            ...);
+  }(std::make_index_sequence<std::variant_size_v<TraceEvent>>{});
 }
 
 // --- RingBufferSink --------------------------------------------------------

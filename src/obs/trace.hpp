@@ -2,7 +2,7 @@
 // paper's argument turns on (which of C1/C2/C3 fired at the source, which
 // preferred/spare neighbor was chosen per hop, how many GS rounds
 // stabilization took, message sends/drops, node failures/recoveries) plus
-// sweep-level span and per-point summary events.
+// per-point sweep summary events.
 //
 // Cost model: producers hold a nullable `TraceSink*` and construct events
 // only inside an `if (sink)` guard, so the untraced hot path pays one
@@ -10,7 +10,8 @@
 // RingBufferSink (bounded in-memory flight recorder for post-mortems),
 // and JsonlSink (one JSON object per line, stable field names — the
 // schema is documented in EXPERIMENTS.md and consumed by
-// examples/inspect --replay).
+// examples/inspect --replay). trace.cpp lists each event's keys once;
+// write_json, to_trace_event and event_name all derive from that list.
 //
 // Locking contract: TraceSink::on_event makes no thread-safety promise
 // by itself — each concrete sink documents its own. NullSink is
@@ -167,13 +168,6 @@ struct RouteSummaryEvent {
   const char* reason = "";   ///< promotion reason, "none" for breadcrumbs
 };
 
-/// A timed region finished (sweep point, bench phase, ...).
-struct SpanEvent {
-  const char* name = "";
-  double micros = 0.0;
-  std::uint64_t items = 0;  ///< work units inside the span (0 = unset)
-};
-
 /// Per-point summary of an experiment sweep: timing, worker utilization,
 /// per-trial latency percentiles, and flattened result metrics.
 struct SweepPointEvent {
@@ -192,13 +186,23 @@ using TraceEvent =
     std::variant<SourceDecisionEvent, HopEvent, RouteDoneEvent, GsRoundEvent,
                  MessageSendEvent, MessageDropEvent, NodeFailEvent,
                  NodeRecoverEvent, MisrouteEvent, EpochPublishEvent,
-                 RouteSummaryEvent, SpanEvent, SweepPointEvent>;
+                 RouteSummaryEvent, SweepPointEvent>;
 
 /// The stable "event" field value each alternative serializes under.
 [[nodiscard]] const char* event_name(const TraceEvent& ev);
 
 /// Serialize one event as a single-line JSON object (no trailing newline).
 void write_json(std::ostream& os, const TraceEvent& ev);
+
+struct ParsedEvent;  // obs/jsonl.hpp
+
+/// Reconstruct a typed TraceEvent from one parsed JSONL line (the
+/// inverse of write_json). Returns false when the "event" discriminator
+/// is missing or unknown. A missing key leaves its member at the default;
+/// a null number reads as NaN; sweep_point values come back in key order.
+/// String fields are interned in a process-lifetime pool so the
+/// const char* members stay valid.
+[[nodiscard]] bool to_trace_event(const ParsedEvent& parsed, TraceEvent& out);
 
 class TraceSink {
  public:
@@ -260,7 +264,7 @@ class JsonlSink final : public TraceSink {
 /// JsonlSink behind a mutex: whole lines are written atomically, so any
 /// number of worker threads may share one JSONL file. Lines from
 /// different threads interleave at event granularity — fine for
-/// independent events (churn, spans, promoted summaries) and for
+/// independent events (churn, sweep points, promoted summaries) and for
 /// SamplingSink output (which forwards each promoted chain as one
 /// locked burst), but a multi-threaded producer emitting raw route
 /// chains will still interleave *chains*; keep those per-thread or

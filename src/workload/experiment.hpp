@@ -53,8 +53,8 @@ struct SweepConfig {
   obs::InstrumentationHooks instrumentation;
 };
 
-/// Wall-clock profile of one sweep point, measured by the driver's span
-/// timers (obs::SpanTimer over the point, a stopwatch per trial).
+/// Wall-clock profile of one sweep point, measured by the sweep engine
+/// (an obs::Stopwatch over the point and one per trial).
 struct SweepTiming {
   double wall_ms = 0.0;
   /// Busy worker time / (wall time * pool threads); 1.0 = perfectly

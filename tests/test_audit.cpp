@@ -9,6 +9,8 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "core/egs.hpp"
@@ -556,14 +558,18 @@ TEST(Audit, JsonlFileAuditCountsMalformedAndUnknownLines) {
 }
 
 TEST(Audit, ToTraceEventReconstructsEveryKindAndRejectsUnknown) {
-  // Serialize one of each alternative, parse it back, re-serialize, and
-  // require byte-identical JSON — proves to_trace_event inverts
-  // write_json over the full schema.
-  std::vector<TraceEvent> originals;
+  // Serialize one sample of each alternative, parse it back, re-serialize,
+  // and require byte-identical JSON — proves to_trace_event inverts
+  // write_json over the full schema. Samples are indexed by variant
+  // position, so a new event kind without a sample fails here, and every
+  // field must differ from its default, so a key the reader drops fails
+  // too.
+  std::vector<TraceEvent> samples;
   SourceDecisionEvent src;
   src.source = 3;
   src.dest = 9;
   src.hamming = 2;
+  src.c1 = true;
   src.c2 = true;
   src.c3 = true;
   src.chosen_dim = 1;
@@ -572,7 +578,7 @@ TEST(Audit, ToTraceEventReconstructsEveryKindAndRejectsUnknown) {
   src.egs = true;
   src.self_level = 3;
   src.dest_link_faulty = true;
-  originals.emplace_back(src);
+  samples.emplace_back(src);
   HopEvent hop;
   hop.from = 3;
   hop.to = 1;
@@ -582,17 +588,14 @@ TEST(Audit, ToTraceEventReconstructsEveryKindAndRejectsUnknown) {
   hop.nav_after = 8;
   hop.preferred = false;
   hop.ties = 1;
-  originals.emplace_back(hop);
-  originals.emplace_back(RouteDoneEvent{3, 9, "delivered-suboptimal", 4});
-  GsRoundEvent round{2, 7, 31, 99, true};
-  round.periodic = true;
-  originals.emplace_back(round);
-  originals.emplace_back(MessageSendEvent{5, 1, 2, MsgKind::kUnicast});
-  originals.emplace_back(
-      MessageDropEvent{6, 1, 2, MsgKind::kLevelUpdate, "faulty-link"});
-  originals.emplace_back(NodeFailEvent{7, 4});
-  originals.emplace_back(NodeRecoverEvent{8, 4});
-  originals.emplace_back(SpanEvent{"phase \"x\"", 12.5, 3});
+  samples.emplace_back(hop);
+  samples.emplace_back(RouteDoneEvent{3, 9, "delivered-suboptimal", 4});
+  samples.emplace_back(GsRoundEvent{2, 7, 31, 99, true, true});
+  samples.emplace_back(MessageSendEvent{5, 1, 2, MsgKind::kUnicast});
+  samples.emplace_back(
+      MessageDropEvent{6, 1, 2, MsgKind::kUnicast, "faulty-link"});
+  samples.emplace_back(NodeFailEvent{7, 4});
+  samples.emplace_back(NodeRecoverEvent{8, 4});
   MisrouteEvent mis;
   mis.source = 3;
   mis.dest = 9;
@@ -600,7 +603,28 @@ TEST(Audit, ToTraceEventReconstructsEveryKindAndRejectsUnknown) {
   mis.drop_node = 5;
   mis.hops_taken = 1;
   mis.ground_feasible = true;
-  originals.emplace_back(mis);
+  samples.emplace_back(mis);
+  EpochPublishEvent epoch;
+  epoch.epoch = 12;
+  epoch.parent = 11;
+  epoch.cause = "link-fail";
+  epoch.node = 6;
+  epoch.dim = 2;
+  epoch.churn = 1;
+  epoch.faults = 3;
+  epoch.links = 4;
+  epoch.ts = 5000;
+  samples.emplace_back(epoch);
+  RouteSummaryEvent summary;
+  summary.route_id = 77;
+  summary.decision_epoch = 11;
+  summary.ground_epoch = 12;
+  summary.status = "dropped-stale-node";
+  summary.hops = 2;
+  summary.latency_us = 3.5;
+  summary.promoted = true;
+  summary.reason = "stale-epoch";
+  samples.emplace_back(summary);
   SweepPointEvent sp;
   sp.sweep = "routing";
   sp.fault_count = 6;
@@ -610,14 +634,32 @@ TEST(Audit, ToTraceEventReconstructsEveryKindAndRejectsUnknown) {
   sp.trial_p50_us = 1;
   sp.trial_p90_us = 2;
   sp.trial_p99_us = 3;
+  // Nested keys come back in key order (the reader keeps a sorted map).
   sp.values = {{"delivered_pct", 99.5}, {"optimal_pct", 90.25}};
-  originals.emplace_back(sp);
+  samples.emplace_back(sp);
 
-  for (const TraceEvent& ev : originals) {
+  ASSERT_EQ(samples.size(), std::variant_size_v<TraceEvent>);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const TraceEvent& ev = samples[i];
+    ASSERT_EQ(ev.index(), i) << "sample " << i << " is out of variant order";
     std::ostringstream first;
     write_json(first, ev);
     const auto parsed = parse_jsonl_line(first.str());
     ASSERT_TRUE(parsed.has_value()) << first.str();
+
+    TraceEvent blank = ev;
+    std::visit([](auto& e) { e = std::decay_t<decltype(e)>{}; }, blank);
+    std::ostringstream blank_json;
+    write_json(blank_json, blank);
+    const auto defaults = parse_jsonl_line(blank_json.str());
+    ASSERT_TRUE(defaults.has_value()) << blank_json.str();
+    for (const auto& [key, value] : parsed->fields) {
+      if (key == "event") continue;
+      const auto it = defaults->fields.find(key);
+      EXPECT_TRUE(it == defaults->fields.end() || it->second != value)
+          << event_name(ev) << "." << key << " is left at its default";
+    }
+
     TraceEvent rebuilt;
     ASSERT_TRUE(to_trace_event(*parsed, rebuilt)) << first.str();
     EXPECT_EQ(rebuilt.index(), ev.index());

@@ -1,20 +1,22 @@
 // slcube::obs — registry sharding/merging, histogram quantiles, trace
-// sinks (ring buffer + JSONL round trip), span timers, and the traced
+// sinks (ring buffer + JSONL round trip, escaping), and the traced
 // unicast event stream (source decision, every hop, spare detours).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "core/global_status.hpp"
 #include "core/unicast.hpp"
 #include "obs/jsonl.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
@@ -314,7 +316,21 @@ TEST(Trace, JsonlRoundTripPreservesEveryEventKind) {
                                    "faulty-link"});
     sink.on_event(NodeFailEvent{2, 9});
     sink.on_event(NodeRecoverEvent{3, 9});
-    sink.on_event(SpanEvent{"point", 123.5, 7});
+    MisrouteEvent mis;
+    mis.cls = "optimism-drop";
+    mis.drop_node = 4;
+    sink.on_event(mis);
+    EpochPublishEvent epoch;
+    epoch.epoch = 3;
+    epoch.parent = 2;
+    epoch.cause = "link-fail";
+    epoch.dim = 2;
+    sink.on_event(epoch);
+    RouteSummaryEvent summary;
+    summary.route_id = 11;
+    summary.latency_us = 123.5;
+    summary.reason = "stale-epoch";
+    sink.on_event(summary);
     SweepPointEvent sp;
     sp.sweep = "routing";
     sp.fault_count = 12;
@@ -330,7 +346,7 @@ TEST(Trace, JsonlRoundTripPreservesEveryEventKind) {
     ASSERT_TRUE(parsed.has_value()) << line;
     events.push_back(std::move(*parsed));
   }
-  ASSERT_EQ(events.size(), 10u);
+  ASSERT_EQ(events.size(), 12u);
   EXPECT_EQ(events[0].kind(), "source_decision");
   EXPECT_EQ(events[0].integer("source"), 5);
   EXPECT_TRUE(events[0].boolean("c1"));
@@ -345,9 +361,17 @@ TEST(Trace, JsonlRoundTripPreservesEveryEventKind) {
   EXPECT_EQ(events[5].str("reason"), "faulty-link");
   EXPECT_EQ(events[6].kind(), "node_fail");
   EXPECT_EQ(events[7].kind(), "node_recover");
-  EXPECT_DOUBLE_EQ(events[8].num("micros"), 123.5);
-  EXPECT_EQ(events[9].str("sweep"), "routing");
-  EXPECT_DOUBLE_EQ(events[9].num("values.delivered_pct"), 99.5);
+  EXPECT_EQ(events[8].str("cls"), "optimism-drop");
+  EXPECT_EQ(events[8].integer("drop_node"), 4);
+  EXPECT_EQ(events[9].kind(), "epoch_publish");
+  EXPECT_EQ(events[9].str("cause"), "link-fail");
+  EXPECT_EQ(events[9].integer("node"), -1);
+  EXPECT_EQ(events[9].integer("dim"), 2);
+  EXPECT_EQ(events[10].kind(), "route_summary");
+  EXPECT_DOUBLE_EQ(events[10].num("latency_us"), 123.5);
+  EXPECT_EQ(events[10].str("reason"), "stale-epoch");
+  EXPECT_EQ(events[11].str("sweep"), "routing");
+  EXPECT_DOUBLE_EQ(events[11].num("values.delivered_pct"), 99.5);
 }
 
 TEST(Trace, ParserRejectsMalformedLines) {
@@ -386,18 +410,75 @@ TEST(Trace, ParserSurvivesTruncationFuzz) {
   }
 }
 
+/// Split a writer's output into lines and parse each one; a string the
+/// writer failed to escape shows up as an extra line or a parse failure.
+std::vector<ParsedEvent> parse_lines(const std::string& text) {
+  std::vector<ParsedEvent> out;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) {
+    auto parsed = parse_jsonl_line(line);
+    EXPECT_TRUE(parsed.has_value()) << line;
+    if (parsed) out.push_back(std::move(*parsed));
+  }
+  return out;
+}
+
 TEST(Trace, EscapedStringsRoundTrip) {
+  // Every byte below 0x20 plus the quote and backslash: the escaper's
+  // whole special-case table in one string.
+  std::string nasty = "quote \" backslash \\ nl \n tab \t cr \r";
+  for (char c = 1; c < 0x20; ++c) nasty += c;
+  const std::string status = nasty;  // outlives the sink's events
   std::ostringstream os;
   {
     JsonlSink sink(os);
-    sink.on_event(SpanEvent{"quote \" backslash \\ done", 1.0, 0});
+    sink.on_event(RouteDoneEvent{1, 2, status.c_str(), 3});
+    SweepPointEvent sp;
+    sp.sweep = "routing";
+    sp.wall_ms = std::numeric_limits<double>::quiet_NaN();
+    sp.utilization = std::numeric_limits<double>::infinity();
+    sp.values = {{"line\nbreak", 1.5}, {"nan", std::nan("")}};
+    sink.on_event(sp);
   }
-  std::string line = os.str();
-  ASSERT_FALSE(line.empty());
-  line.pop_back();  // the sink terminates the line; the parser is line-scoped
-  const auto parsed = parse_jsonl_line(line);
-  ASSERT_TRUE(parsed.has_value()) << line;
-  EXPECT_EQ(parsed->str("name"), "quote \" backslash \\ done");
+  const auto events = parse_lines(os.str());
+  EXPECT_EQ(events.size(), 2u) << os.str();
+  if (events.size() == 2) {
+    EXPECT_EQ(events[0].str("status"), nasty);
+    EXPECT_EQ(events[0].integer("hops"), 3);
+    EXPECT_DOUBLE_EQ(events[1].num("values.line\nbreak"), 1.5);
+    // Non-finite doubles are written as null, which the reader accepts.
+    for (const char* key : {"wall_ms", "utilization", "values.nan"}) {
+      ASSERT_TRUE(events[1].has(key)) << key;
+      EXPECT_TRUE(std::holds_alternative<std::nullptr_t>(
+          events[1].fields.find(key)->second))
+          << key;
+    }
+  }
+
+  // The time-series writer: metric names become keys.
+  TimeSample sample;
+  sample.snapshot.counters = {{"a\"b", 4}};
+  sample.snapshot.gauges = {{"g\nh", -1}};
+  std::ostringstream ts;
+  write_timeseries_jsonl(ts, {sample}, /*include_wall_time=*/false);
+  const auto ts_events = parse_lines(ts.str());
+  EXPECT_EQ(ts_events.size(), 1u) << ts.str();
+  if (ts_events.size() == 1) {
+    EXPECT_EQ(ts_events[0].integer("c.a\"b"), 4);
+    EXPECT_EQ(ts_events[0].integer("g.g\nh"), -1);
+  }
+
+  // The stage writer: stage names become string values.
+  StageReport report;
+  report.threads = 1;
+  report.roots.push_back(StageNode{"say \"hi\"", 2, 10.0, 4.0, {}});
+  report.roots[0].children.push_back(StageNode{"back\\slash", 1, 6.0, 6.0, {}});
+  std::ostringstream st;
+  write_stage_jsonl(st, report);
+  const auto stages = parse_lines(st.str());
+  ASSERT_EQ(stages.size(), 2u) << st.str();
+  EXPECT_EQ(stages[0].str("name"), "say \"hi\"");
+  EXPECT_EQ(stages[1].str("path"), "say \"hi\"/back\\slash");
 }
 
 TEST(Trace, RingBufferSurvivesConcurrentWriters) {
@@ -479,7 +560,7 @@ TEST(Trace, LockedJsonlSinkKeepsLinesWholeUnderContention) {
     for (unsigned t = 0; t < kThreads; ++t) {
       writers.emplace_back([&sink, t] {
         for (unsigned i = 0; i < kPerThread; ++i) {
-          sink.on_event(SpanEvent{"locked-writer", double(t) + i, i});
+          sink.on_event(RouteDoneEvent{t, i, "locked-writer", i});
         }
       });
     }
@@ -490,7 +571,7 @@ TEST(Trace, LockedJsonlSinkKeepsLinesWholeUnderContention) {
   for (std::string line; std::getline(is, line); ++lines) {
     const auto parsed = parse_jsonl_line(line);
     ASSERT_TRUE(parsed.has_value()) << "interleaved line: " << line;
-    EXPECT_EQ(parsed->str("name"), "locked-writer");
+    EXPECT_EQ(parsed->str("status"), "locked-writer");
   }
   EXPECT_EQ(lines, kThreads * kPerThread);
 }
@@ -522,24 +603,6 @@ TEST(Trace, TeeSinkFansOutConcurrently) {
     ASSERT_TRUE(parse_jsonl_line(line).has_value()) << line;
   }
   EXPECT_EQ(lines, kThreads * kPerThread);
-}
-
-// --- span timers -----------------------------------------------------------
-
-TEST(Span, EmitsEventAndObservesHistogram) {
-  RingBufferSink ring;
-  HistogramData hist(exponential_bounds(1, 10, 10));
-  {
-    SpanTimer span("unit-test", &ring, &hist);
-    span.set_items(42);
-  }
-  ASSERT_EQ(ring.size(), 1u);
-  const auto events = ring.snapshot();
-  const auto& ev = std::get<SpanEvent>(events[0]);
-  EXPECT_STREQ(ev.name, "unit-test");
-  EXPECT_EQ(ev.items, 42u);
-  EXPECT_GE(ev.micros, 0.0);
-  EXPECT_EQ(hist.count, 1u);
 }
 
 // --- traced unicast --------------------------------------------------------
