@@ -18,9 +18,10 @@
 // dropped in flight (every drop is stale by construction: ground ==
 // decision cannot block a hop the decision tables allowed).
 //
-// Self-checks: every `--verify-every` requests each reader bit-compares
-// its current snapshot's two views against a from-scratch run_egs of the
-// snapshot's own fault configuration (the RCU guarantee), the outcome
+// Self-checks: every `--verify-every` requests each reader keeps its
+// current snapshot, and after the readers join (outside the timed wall)
+// each kept snapshot's two views are bit-compared against a from-scratch
+// run_egs of its own fault configuration (the RCU guarantee), the outcome
 // counts must sum to the request count, and --audit streams every route
 // through the invariant-checking AuditSink. Outcome counts are
 // interleaving-dependent, so the JSON baseline gates only the
@@ -58,7 +59,7 @@ struct ServiceOptions {
   unsigned readers = 4;
   std::uint64_t requests = 1'000'000;
   unsigned churn_pause_us = 200;
-  std::uint64_t verify_every = 8192;  ///< 0 = no in-flight verification
+  std::uint64_t verify_every = 8192;  ///< 0 = verify only the final epoch
   // --sample: the deterministic tail-sampled tracing benchmark (see
   // run_sample_mode below) instead of the live churn workload.
   bool sample = false;
@@ -616,7 +617,6 @@ int main(int argc, char** argv) {
 
   // --- churn writer -----------------------------------------------------
   std::atomic<bool> stop_churn{false};
-  std::atomic<bool> consistent{true};
   std::thread writer([&] {
     Xoshiro256ss rng = exp::substream(seed, /*stream=*/0, /*trial=*/0);
     fault::FaultSet faults(cube.num_nodes());
@@ -682,6 +682,8 @@ int main(int argc, char** argv) {
   // --- router workers ---------------------------------------------------
   const auto latency_bounds = obs::exponential_bounds(0.05, 1.3, 48);
   std::vector<Tally> tallies(readers);
+  // Snapshots each reader kept for verification; checked after the join.
+  std::vector<std::vector<svc::SnapshotPtr>> kept(readers);
   std::vector<obs::HistogramData> latencies(readers,
                                             obs::HistogramData(latency_bounds));
   telemetry.tick();  // baseline sample before the serving phase
@@ -701,9 +703,7 @@ int main(int argc, char** argv) {
         for (std::uint64_t i = 0; i < share; ++i) {
           const svc::SnapshotPtr snap = oracle.acquire();
           if (svc_opt.verify_every > 0 && i % svc_opt.verify_every == 0) {
-            if (!snapshot_matches_scratch(cube, *snap)) {
-              consistent.store(false, std::memory_order_relaxed);
-            }
+            kept[r].push_back(snap);
             ++tally.verifications;
           }
           const auto pair = workload::sample_uniform_pair(snap->faults, rng);
@@ -765,10 +765,14 @@ int main(int argc, char** argv) {
   writer.join();
   telemetry.tick();
 
-  // Final consistency probe on the last published epoch.
+  // The kept snapshots are immutable, so checking them now verifies
+  // exactly the epochs the readers served on; then the last epoch.
   const svc::SnapshotPtr last = oracle.acquire();
-  if (!snapshot_matches_scratch(cube, *last)) {
-    consistent.store(false);
+  bool consistent = snapshot_matches_scratch(cube, *last);
+  for (const auto& snaps : kept) {
+    for (const svc::SnapshotPtr& snap : snaps) {
+      consistent = consistent && snapshot_matches_scratch(cube, *snap);
+    }
   }
 
   Tally total;
@@ -826,8 +830,8 @@ int main(int argc, char** argv) {
   bench::emit(outcomes, opt);
 
   std::cout << "snapshot consistency: " << total.verifications
-            << " in-flight verification(s) + final epoch vs run_egs — "
-            << (consistent.load() ? "bit-identical" : "MISMATCH") << '\n'
+            << " served snapshot(s) + final epoch vs run_egs — "
+            << (consistent ? "bit-identical" : "MISMATCH") << '\n'
             << "staleness: " << stale_total << " of " << requests
             << " routes decided on an epoch older than the one they ran "
                "against\n";
@@ -868,7 +872,7 @@ int main(int argc, char** argv) {
         << "  \"stale_dropped\": " << total.stale_dropped << ",\n"
         << "  \"stale_verifications\": " << total.verifications << ",\n"
         << "  \"snapshots_consistent\": "
-        << (consistent.load() ? "true" : "false") << ",\n"
+        << (consistent ? "true" : "false") << ",\n"
         << "  \"outcomes_accounted\": " << (accounted ? "true" : "false")
         << ",\n"
         << "  \"stuck_free\": " << (total.stuck == 0 ? "true" : "false")
@@ -877,7 +881,7 @@ int main(int argc, char** argv) {
   }
 
   int rc = bench::finish_audit(audit.get());
-  if (!consistent.load()) {
+  if (!consistent) {
     std::cerr << "FATAL: a snapshot diverged from its from-scratch table\n";
     rc = 1;
   }

@@ -250,6 +250,8 @@ WalkEnd walk(const View& view, Judge& judge, Observer& observer, NodeId s,
              NodeId d, SourceDecision& decision, analysis::Path& path) {
   const topo::Hypercube& cube = view.cube;
   decision = view.decide(s, d);
+  // A route is at most H + 2 <= n + 2 hops: one allocation per route.
+  path.reserve(cube.dimension() + 3);
   path.push_back(s);
   observer.begin(view, s, d, decision);
   const auto finish = [&](WalkEnd end) {

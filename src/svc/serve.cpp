@@ -30,41 +30,51 @@ const char* to_string(ServeStatus s) {
 
 namespace {
 
-/// Judges every traversal against the ground truth `ground_of()` yields:
-/// the live overloads re-acquire per call, the deterministic overload
-/// always returns the same snapshot. Only ground truth is consulted — the
+/// Judges every traversal against the ground snapshot. A live judge
+/// (`oracle` set) starts from the decision snapshot, probes the epoch
+/// before the launch and each traversal, and re-acquires only when it
+/// moved; publish() stores the snapshot before the epoch, so the new
+/// ground is at least that epoch. Only ground truth is consulted — the
 /// decision snapshot already vouched for the hop.
-template <typename GroundFn>
 struct SnapshotJudge {
-  GroundFn& ground_of;
-  /// Highest epoch consulted so far (epochs are published in order).
-  std::uint64_t ground_epoch = 0;
+  const SnapshotOracle* oracle;
+  /// The current ground: the caller's snapshot or `hold`.
+  const Snapshot* ground;
+  /// Keeps a re-acquired ground epoch alive while it is judged; the
+  /// previous one may be freed as soon as the next replaces it.
+  SnapshotPtr hold{};
+  std::uint32_t acquires = 0;
+
+  const Snapshot& refresh() {
+    if (oracle != nullptr && oracle->epoch() > ground->epoch) {
+      hold = oracle->acquire();
+      ground = hold.get();
+      ++acquires;
+    }
+    return *ground;
+  }
 
   std::optional<core::WalkEnd> launch(NodeId s) {
-    const Snapshot& ground = ground_of();
-    ground_epoch = ground.epoch;
-    if (ground.faults.is_faulty(s)) return core::WalkEnd::kDroppedSource;
+    if (refresh().faults.is_faulty(s)) return core::WalkEnd::kDroppedSource;
     return std::nullopt;
   }
 
   std::optional<core::WalkEnd> traverse(NodeId from, Dim dim, NodeId to) {
-    const Snapshot& ground = ground_of();
-    ground_epoch = ground.epoch;
-    if (ground.links.is_faulty(from, dim)) return core::WalkEnd::kDroppedLink;
-    if (ground.faults.is_faulty(to)) return core::WalkEnd::kDroppedNode;
+    const Snapshot& now = refresh();
+    if (now.links.is_faulty(from, dim)) return core::WalkEnd::kDroppedLink;
+    if (now.faults.is_faulty(to)) return core::WalkEnd::kDroppedNode;
     return std::nullopt;
   }
 
-  [[nodiscard]] std::uint64_t epoch() const { return ground_epoch; }
+  [[nodiscard]] std::uint64_t epoch() const { return ground->epoch; }
 };
 
 /// Decisions come from `decision` only, through the same walker and EGS
 /// view as core::route_unicast_egs (default lowest-dim tie-break), so
 /// with ground == decision the result is bit-identical to the core
 /// router; the snapshot judge adds the launch check and the drops.
-template <typename GroundFn>
 ServeResult serve_walk(const topo::Hypercube& cube, const Snapshot& decision,
-                       GroundFn&& ground_of, NodeId s, NodeId d,
+                       SnapshotJudge judge, NodeId s, NodeId d,
                        const ServeOptions& options) {
   const obs::StageScope stage("svc.serve");
   SLC_EXPECT_MSG(decision.faults.is_healthy(s),
@@ -79,7 +89,6 @@ ServeResult serve_walk(const topo::Hypercube& cube, const Snapshot& decision,
   const core::UnicastOptions lowest_dim{};
   const core::EgsView view{cube, decision.links, decision.views(),
                            lowest_dim};
-  SnapshotJudge<GroundFn> judge{ground_of};
   ServeResult result;
   result.decision_epoch = decision.epoch;
   result.status = static_cast<ServeStatus>(
@@ -87,7 +96,8 @@ ServeResult serve_walk(const topo::Hypercube& cube, const Snapshot& decision,
         return core::walk(view, judge, observer, s, d, result.decision,
                           result.path);
       }));
-  result.ground_epoch = judge.ground_epoch;
+  result.ground_epoch = judge.epoch();
+  result.ground_acquires = judge.acquires;
   return result;
 }
 
@@ -98,26 +108,16 @@ ServeResult serve_route(const Snapshot& decision, const Snapshot& ground,
   SLC_EXPECT_MSG(decision.links.cube().num_nodes() ==
                      ground.links.cube().num_nodes(),
                  "decision and ground snapshots must share a cube");
-  const topo::Hypercube& cube = decision.links.cube();
-  return serve_walk(
-      cube, decision, [&]() -> const Snapshot& { return ground; }, s, d,
-      options);
+  return serve_walk(decision.links.cube(), decision, {nullptr, &ground}, s,
+                    d, options);
 }
 
 ServeResult serve_route(const SnapshotOracle& oracle,
                         const SnapshotPtr& decision, NodeId s, NodeId d,
                         const ServeOptions& options) {
   SLC_EXPECT_MSG(decision != nullptr, "serve needs a decision snapshot");
-  // `hold` keeps each re-acquired ground epoch alive across its check;
-  // the previous epoch may be freed as soon as the next one replaces it.
-  SnapshotPtr hold;
-  return serve_walk(
-      oracle.cube(), *decision,
-      [&]() -> const Snapshot& {
-        hold = oracle.acquire();
-        return *hold;
-      },
-      s, d, options);
+  return serve_walk(oracle.cube(), *decision, {&oracle, decision.get()}, s,
+                    d, options);
 }
 
 ServeResult serve_route(const SnapshotOracle& oracle, NodeId s, NodeId d,

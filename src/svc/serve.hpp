@@ -14,9 +14,11 @@
 //
 //   decision snapshot — feasibility + every hop choice (never consulted
 //     for liveness of the traversal);
-//   ground truth      — re-read at the source and before every hop from
-//     the latest published epoch; a hop onto a ground-faulty node or
-//     across a ground-faulty link drops the message.
+//   ground truth      — starts as the decision snapshot; before the
+//     launch and before every hop the live walk probes the published
+//     epoch and re-acquires the latest snapshot only when the epoch has
+//     moved. A hop onto a ground-faulty node or across a ground-faulty
+//     link drops the message.
 //
 // Both roles plug into the one forwarding loop, core::walk (walk.hpp):
 // the decision snapshot is its EGS view, the ground truth its judge.
@@ -61,6 +63,10 @@ struct ServeResult {
   /// Highest epoch consulted as ground truth during the walk (epochs are
   /// published in increasing order, so this is simply the last one).
   std::uint64_t ground_epoch = 0;
+  /// Ground snapshots the live walk re-acquired because the epoch moved:
+  /// 0 for the deterministic overload and for a live route during which
+  /// nothing newer than its decision snapshot was published.
+  std::uint32_t ground_acquires = 0;
 
   [[nodiscard]] bool delivered() const noexcept {
     return status == ServeStatus::kDeliveredOptimal ||
@@ -99,15 +105,18 @@ struct ServeOptions {
                                       NodeId d,
                                       const ServeOptions& options = {});
 
-/// Live serving: acquires the decision snapshot once, then re-acquires
-/// the latest epoch before every hop — a writer publishing mid-route is
-/// observed exactly the way a real network observes mid-flight faults.
+/// Live serving: acquires the decision snapshot once and judges against
+/// it; before the launch and every hop it probes oracle.epoch() and
+/// re-acquires the latest snapshot only when the epoch has moved — a
+/// writer publishing mid-route is observed exactly the way a real network
+/// observes mid-flight faults, and a quiet route makes one acquire.
 [[nodiscard]] ServeResult serve_route(const SnapshotOracle& oracle, NodeId s,
                                       NodeId d,
                                       const ServeOptions& options = {});
 
 /// Live serving against a pre-acquired decision snapshot (readers that
-/// batch many requests per acquire).
+/// batch many requests per acquire). The decision snapshot is the first
+/// ground; the epoch probe re-acquires at launch if it is already stale.
 [[nodiscard]] ServeResult serve_route(const SnapshotOracle& oracle,
                                       const SnapshotPtr& decision, NodeId s,
                                       NodeId d,

@@ -70,7 +70,10 @@ struct ChurnRecord {
 /// writer's tables — a reader holding this cannot be affected by any
 /// later writer activity. Bit-identical to run_egs(cube, faults, links)
 /// for this epoch's configuration (pinned by test_snapshot_oracle).
-struct Snapshot {
+/// Cache-line aligned, so the refcounts that make_shared places in front
+/// of it, which every reader's acquire and release modify, do not share
+/// a line with the header every judged hop reads.
+struct alignas(64) Snapshot {
   std::uint64_t epoch = 0;
   std::uint64_t parent_epoch = 0;  ///< previous published epoch (== 0 at 0)
   /// The churn folded into this epoch (empty for epoch 0). One record
@@ -175,8 +178,10 @@ class SnapshotOracle {
   std::uint64_t next_epoch_ = 0;  ///< writer-private publish counter
   std::vector<ChurnRecord> pending_;  ///< lineage for the next publish
   obs::TraceSink* trace_ = nullptr;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<SnapshotPtr> current_;
+  // Separate cache lines: every live hop probes epoch_, while each
+  // acquire() does lock-bit and refcount RMWs on current_'s line.
+  alignas(64) std::atomic<std::uint64_t> epoch_{0};
+  alignas(64) std::atomic<SnapshotPtr> current_;
   Stats stats_;
 };
 

@@ -11,6 +11,9 @@
 //     (equal epochs mean identical tables, which cannot block their own
 //     choices), and delivered/detour routes that raced a publication are
 //     counted as stale without being harmed.
+//  4. The live walk judges against its decision snapshot until the
+//     published epoch moves, then re-acquires once per epoch it sees:
+//     ground_acquires counts those re-acquires and is 0 on a quiet oracle.
 //
 // The multi-reader/single-writer tests at the bottom are the TSan
 // targets: real std::threads hammering acquire()/serve_route() against
@@ -20,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -290,6 +294,117 @@ TEST(Serve, EveryDropIsStale) {
     ASSERT_NE(res.status, ServeStatus::kStuck);
   }
   EXPECT_GT(drops, 0u) << "churn never killed a route; weak test";
+}
+
+/// Runs `publish` once, from inside the walk, when a hop lands on
+/// `trigger`: a writer publishing between two hops of a live route.
+class PublishOnHop final : public obs::TraceSink {
+ public:
+  PublishOnHop(NodeId trigger, std::function<void()> publish)
+      : trigger_(trigger), publish_(std::move(publish)) {}
+
+  void on_event(const obs::TraceEvent& ev) override {
+    const auto* hop = std::get_if<obs::HopEvent>(&ev);
+    if (hop == nullptr || hop->to != trigger_ || fired_) return;
+    fired_ = true;
+    publish_();
+  }
+
+ private:
+  NodeId trigger_;
+  std::function<void()> publish_;
+  bool fired_ = false;
+};
+
+// Guarantee 4, constructed cases. Fault-free Q4, s=0, d=15: the
+// lowest-dim preference walks 0 -> 1 -> 3 -> 7 -> 15, the link out of
+// path[k] crossing dimension k. Once hop k lands on path[k], the writer
+// runs `publish(oracle, k)`; the very next traversal must see the new
+// epoch and end `want` at path[k], after exactly one re-acquire.
+const analysis::Path kQ4Walk{0, 1, 3, 7, 15};
+
+template <typename Publish>
+void expect_drop_after_each_hop(ServeStatus want, Publish publish) {
+  const topo::Hypercube q(4);
+  for (std::size_t k = 1; k + 1 < kQ4Walk.size(); ++k) {
+    SnapshotOracle oracle(q);
+    const SnapshotPtr decision = oracle.acquire();
+    PublishOnHop sink(kQ4Walk[k], [&] { publish(oracle, k); });
+    ServeOptions opts;
+    opts.trace = &sink;
+    const ServeResult res = serve_route(oracle, decision, 0, 15, opts);
+    const analysis::Path cut(
+        kQ4Walk.begin(), kQ4Walk.begin() + static_cast<std::ptrdiff_t>(k + 1));
+    EXPECT_EQ(res.status, want) << "k=" << k;
+    EXPECT_EQ(res.path, cut) << "k=" << k;
+    EXPECT_EQ(res.ground_epoch, res.decision_epoch + 1) << "k=" << k;
+    EXPECT_EQ(res.ground_acquires, 1u) << "k=" << k;
+  }
+}
+
+TEST(Serve, PublishMidRouteDropsAtTheNextNode) {
+  expect_drop_after_each_hop(ServeStatus::kDroppedNode,
+                             [](SnapshotOracle& oracle, std::size_t k) {
+                               oracle.add_fault(kQ4Walk[k + 1]);
+                             });
+}
+
+TEST(Serve, PublishMidRouteDropsAtTheNextLink) {
+  expect_drop_after_each_hop(ServeStatus::kDroppedLink,
+                             [](SnapshotOracle& oracle, std::size_t k) {
+                               oracle.fail_link(kQ4Walk[k],
+                                                static_cast<Dim>(k));
+                             });
+}
+
+// With nothing published after the decision snapshot, the live route is
+// the deterministic route on that snapshot and re-acquires nothing.
+TEST(Serve, QuietOracleLiveRouteMatchesDeterministic) {
+  Xoshiro256ss rng(0x9E1E7);
+  const topo::Hypercube q(5);
+  for (int t = 0; t < 10; ++t) {
+    const auto faults =
+        fault::inject_uniform(q, rng.below(q.num_nodes() / 3), rng);
+    const auto links = fault::inject_links_uniform(q, rng.below(5), rng);
+    const SnapshotOracle oracle(q, faults, links);
+    const SnapshotPtr snap = oracle.acquire();
+    for (const auto& [s, d] : workload::all_healthy_pairs(faults)) {
+      const ServeResult want = serve_route(*snap, *snap, s, d);
+      const ServeResult got = serve_route(oracle, s, d);
+      ASSERT_EQ(got.status, want.status) << "s=" << s << " d=" << d;
+      ASSERT_EQ(got.path, want.path) << "s=" << s << " d=" << d;
+      ASSERT_EQ(got.ground_epoch, want.ground_epoch);
+      ASSERT_EQ(got.ground_acquires, 0u);
+      ASSERT_EQ(want.ground_acquires, 0u);
+      ASSERT_FALSE(got.stale());
+    }
+  }
+}
+
+// A decision snapshot already older than `current` is caught by the
+// launch probe: one re-acquire, and the route comes back stale.
+TEST(Serve, StaleDecisionReacquiresAtLaunch) {
+  const topo::Hypercube q(3);
+  SnapshotOracle oracle(q);
+  const SnapshotPtr decision = oracle.acquire();
+  {  // Off-path fault: delivered on the stale plan.
+    oracle.add_fault(6);
+    const ServeResult res = serve_route(oracle, decision, 0, 7);
+    EXPECT_EQ(res.status, ServeStatus::kDeliveredOptimal);
+    EXPECT_EQ(res.path, (analysis::Path{0, 1, 3, 7}));
+    EXPECT_TRUE(res.stale());
+    EXPECT_EQ(res.ground_epoch, 1u);
+    EXPECT_EQ(res.ground_acquires, 1u);
+  }
+  {  // Dead source: only the re-acquired ground knows, and nothing is sent.
+    oracle.add_fault(0);
+    const ServeResult res = serve_route(oracle, decision, 0, 7);
+    EXPECT_EQ(res.status, ServeStatus::kDroppedSource);
+    EXPECT_EQ(res.path, (analysis::Path{0}));
+    EXPECT_TRUE(res.stale());
+    EXPECT_EQ(res.ground_epoch, 2u);
+    EXPECT_EQ(res.ground_acquires, 1u);
+  }
 }
 
 // Guarantee 1 under real concurrency — the TSan target. Readers verify
