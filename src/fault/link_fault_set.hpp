@@ -44,8 +44,11 @@ class LinkFaultSet {
     }
   }
 
+  /// O(1) reject for a node outside N2 (no adjacent faulty link, the
+  /// common case); only N2 endpoints pay the hash lookup.
   [[nodiscard]] bool is_faulty(NodeId a, Dim d) const {
-    return keys_.contains(key(a, d));
+    const std::uint64_t k = key(a, d);  // checks the precondition first
+    return adjacent_count_[a] != 0 && keys_.contains(k);
   }
 
   [[nodiscard]] std::size_t count() const noexcept { return keys_.size(); }

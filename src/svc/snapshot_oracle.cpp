@@ -21,7 +21,14 @@ const char* to_string(ChurnRecord::Kind k) {
   SLC_UNREACHABLE("bad ChurnRecord::Kind");
 }
 
-SnapshotOracle::SnapshotOracle(const topo::Hypercube& cube) : oracle_(cube) {
+namespace {
+
+std::atomic<std::uint64_t> next_oracle_id{1};
+
+}  // namespace
+
+SnapshotOracle::SnapshotOracle(const topo::Hypercube& cube)
+    : oracle_(cube), id_(next_oracle_id.fetch_add(1)) {
   publish();
   stats_ = {};  // epoch 0 is construction, not a churn event
 }
@@ -29,9 +36,35 @@ SnapshotOracle::SnapshotOracle(const topo::Hypercube& cube) : oracle_(cube) {
 SnapshotOracle::SnapshotOracle(const topo::Hypercube& cube,
                                const fault::FaultSet& faults,
                                const fault::LinkFaultSet& link_faults)
-    : oracle_(cube, faults, link_faults) {
+    : oracle_(cube, faults, link_faults),
+      id_(next_oracle_id.fetch_add(1)) {
   publish();
   stats_ = {};
+}
+
+SnapshotPtr SnapshotOracle::acquire() const {
+  // One-entry thread-local cache, same shape as the profiler's arena
+  // cache. The handle is this thread's own shared_ptr to the snapshot
+  // pointer: a hit hands out an alias of it, so its refcount increment
+  // lands on a line no other thread writes unless a snapshot is shared.
+  struct Slot {
+    std::uint64_t oracle = 0;
+    std::uint64_t epoch = 0;
+    std::shared_ptr<const SnapshotPtr> handle;
+  };
+  thread_local Slot slot;
+  if (slot.oracle != id_ ||
+      slot.epoch != epoch_.load(std::memory_order_acquire)) {
+    SnapshotPtr latest;
+    {
+      const std::lock_guard lock(mutex_);
+      latest = current_;
+    }
+    slot.oracle = id_;
+    slot.epoch = latest->epoch;
+    slot.handle = std::make_shared<const SnapshotPtr>(std::move(latest));
+  }
+  return SnapshotPtr(slot.handle, slot.handle->get());
 }
 
 void SnapshotOracle::publish() {
@@ -43,13 +76,21 @@ void SnapshotOracle::publish() {
       Snapshot{epoch, parent, std::move(pending_), oracle_.faults(),
                oracle_.links(), oracle_.public_view(), oracle_.self_view()});
   pending_.clear();  // moved-from; make the empty state explicit
+  const Snapshot& published = *snap;  // owned by current_ from the swap on
   // Publication order: snapshot pointer first, then the epoch probe.
   // A reader that observes epoch() == e is therefore guaranteed that
-  // acquire() returns a snapshot with epoch >= e.
-  current_.store(snap, std::memory_order_release);
+  // acquire() returns a snapshot with epoch >= e: a cache hit returns
+  // exactly e, a miss copies current_ under the mutex released before e
+  // was stored.
+  {
+    const std::lock_guard lock(mutex_);
+    current_.swap(snap);
+  }
   epoch_.store(epoch, std::memory_order_release);
   ++stats_.epochs_published;
-  if (trace_ != nullptr) trace_->on_event(make_epoch_event(*snap));
+  if (trace_ != nullptr) trace_->on_event(make_epoch_event(published));
+  // `snap` now holds the superseded epoch; if no reader still holds it,
+  // it is freed here, outside the lock.
 }
 
 obs::EpochPublishEvent make_epoch_event(const Snapshot& snap) {

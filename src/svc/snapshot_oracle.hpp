@@ -14,13 +14,18 @@
 //    core::EgsOracle (bounded cascades, bit-identical to a from-scratch
 //    run_egs — that guarantee is inherited, not re-proven here), then
 //    copies the resulting tables into an immutable, refcounted Snapshot
-//    and publishes it with one atomic shared_ptr store. Publication is
-//    the only writer/reader synchronization point.
-//  * Reader threads acquire() the current Snapshot (one atomic
-//    shared_ptr load) and route against it with zero further
-//    coordination: the tables inside a Snapshot never change, and the
-//    refcount keeps a Snapshot alive for as long as any in-flight route
-//    still holds it — readers are never blocked and never see a
+//    and publishes it: a pointer swap under a mutex, then one atomic
+//    epoch store. Publication is the only writer/reader
+//    synchronization point.
+//  * Reader threads acquire() the current Snapshot and route against it
+//    with zero further coordination. While the epoch is unchanged an
+//    acquire is a thread-local hit: one shared epoch load and a
+//    refcount increment on a handle only this thread writes. Once per
+//    reader per published epoch it misses and copies the pointer under
+//    that mutex — a short critical section that never waits on a
+//    cascade or a snapshot copy. The tables inside a Snapshot never
+//    change, and the refcount keeps a Snapshot alive for as long as any
+//    in-flight route still holds it, so readers never see a
 //    half-updated table.
 //
 // Epochs are published in strictly increasing order by the single
@@ -38,6 +43,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -71,8 +77,8 @@ struct ChurnRecord {
 /// later writer activity. Bit-identical to run_egs(cube, faults, links)
 /// for this epoch's configuration (pinned by test_snapshot_oracle).
 /// Cache-line aligned, so the refcounts that make_shared places in front
-/// of it, which every reader's acquire and release modify, do not share
-/// a line with the header every judged hop reads.
+/// of it, which each reader's per-epoch acquire miss and handle release
+/// modify, do not share a line with the header every judged hop reads.
 struct alignas(64) Snapshot {
   std::uint64_t epoch = 0;
   std::uint64_t parent_epoch = 0;  ///< previous published epoch (== 0 at 0)
@@ -120,10 +126,15 @@ class SnapshotOracle {
 
   /// The most recently published epoch's snapshot. Never null; the
   /// returned snapshot stays valid (and immutable) for as long as the
-  /// caller holds the pointer, regardless of writer progress.
-  [[nodiscard]] SnapshotPtr acquire() const {
-    return current_.load(std::memory_order_acquire);
-  }
+  /// caller holds the pointer, regardless of writer progress, and its
+  /// epoch is at least any epoch() read before the call.
+  ///
+  /// Served from a one-entry thread-local slot: while epoch() is
+  /// unchanged the call touches no line another thread writes; after a
+  /// publish the first call on each thread copies the new pointer under
+  /// the publication mutex. The slot keeps this thread's last-acquired
+  /// snapshot alive until its next acquire() (of any oracle) or its exit.
+  [[nodiscard]] SnapshotPtr acquire() const;
 
   /// The epoch number of the latest published snapshot — a cheaper probe
   /// than acquire() when only "did anything change?" is needed.
@@ -171,17 +182,22 @@ class SnapshotOracle {
 
  private:
   /// Freeze the oracle's current tables into a Snapshot and publish it
-  /// as the next epoch (release store; readers acquire).
+  /// as the next epoch (swap under mutex_, then release-store epoch_).
   void publish();
 
   core::EgsOracle oracle_;
   std::uint64_t next_epoch_ = 0;  ///< writer-private publish counter
   std::vector<ChurnRecord> pending_;  ///< lineage for the next publish
   obs::TraceSink* trace_ = nullptr;
-  // Separate cache lines: every live hop probes epoch_, while each
-  // acquire() does lock-bit and refcount RMWs on current_'s line.
+  // Separate cache lines: every acquire() and live hop reads epoch_ and
+  // id_, which change at most once per publish, while every reader's
+  // miss writes mutex_.
   alignas(64) std::atomic<std::uint64_t> epoch_{0};
-  alignas(64) std::atomic<SnapshotPtr> current_;
+  /// Never reused across oracles, so a thread's cached slot can never
+  /// false-hit on a new oracle built at a dead one's address.
+  const std::uint64_t id_;
+  alignas(64) mutable std::mutex mutex_;
+  SnapshotPtr current_;  ///< guarded by mutex_
   Stats stats_;
 };
 

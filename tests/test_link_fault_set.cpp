@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
 #include <type_traits>
+#include <utility>
+
+#include "common/rng.hpp"
 
 namespace slcube::fault {
 namespace {
@@ -99,6 +104,67 @@ TEST(LinkFaultSet, FaultyLinksSortedCanonical) {
   ASSERT_EQ(links.size(), 2u);
   EXPECT_EQ(links[0], (std::pair<NodeId, Dim>{0b0111, 3u}));
   EXPECT_EQ(links[1], (std::pair<NodeId, Dim>{0b1001, 1u}));
+}
+
+// The O(1) reject in is_faulty must agree with the hash set everywhere:
+// every (node, dim) of Q4-Q6 after each step of random mark/unmark
+// sequences issued from either endpoint, against a reference std::set of
+// canonical links. Every N2 node's links are among the probed pairs,
+// from both of their endpoints.
+TEST(LinkFaultSet, IsFaultyAgreesWithReferenceExhaustively) {
+  Xoshiro256ss rng(0x11F1A5);
+  for (unsigned dim = 4; dim <= 6; ++dim) {
+    const topo::Hypercube q(dim);
+    for (int seq = 0; seq < 8; ++seq) {
+      LinkFaultSet lf(q);
+      std::set<std::pair<NodeId, Dim>> reference;
+      for (int step = 0; step < 40; ++step) {
+        const auto a = static_cast<NodeId>(rng.below(q.num_nodes()));
+        const auto d = static_cast<Dim>(rng.below(dim));
+        const NodeId low = bits::test(a, d) ? bits::flip(a, d) : a;
+        // Mark more often than unmark, so N2 grows to many nodes; an
+        // unmark picks an existing link half the time so repairs land.
+        if (rng.chance(0.6)) {
+          lf.mark_faulty(a, d);
+          reference.insert({low, d});
+        } else if (!reference.empty() && rng.chance(0.5)) {
+          auto it = reference.begin();
+          std::advance(it, static_cast<long>(rng.below(reference.size())));
+          const auto [l, ld] = *it;
+          lf.mark_healthy(rng.chance(0.5) ? l : bits::flip(l, ld), ld);
+          reference.erase(it);
+        } else {
+          lf.mark_healthy(a, d);
+          reference.erase({low, d});
+        }
+        ASSERT_EQ(lf.count(), reference.size());
+        for (NodeId v = 0; v < q.num_nodes(); ++v) {
+          unsigned incident = 0;
+          for (Dim k = 0; k < dim; ++k) {
+            const NodeId lo = bits::test(v, k) ? bits::flip(v, k) : v;
+            const bool expected = reference.contains({lo, k});
+            incident += expected ? 1u : 0u;
+            ASSERT_EQ(lf.is_faulty(v, k), expected)
+                << "Q" << dim << " seq " << seq << " step " << step
+                << " node " << v << " dim " << k;
+          }
+          ASSERT_EQ(lf.adjacent_faulty(v), incident) << "node " << v;
+        }
+      }
+    }
+  }
+}
+
+// The early return for nodes outside N2 must not skip the precondition:
+// an empty set has no N2 node at all, and a bad node or dimension must
+// still abort instead of reading past the per-node counts.
+TEST(LinkFaultSetDeathTest, IsFaultyChecksRangeOnAnEmptySet) {
+  const topo::Hypercube q(4);
+  const LinkFaultSet lf(q);
+  EXPECT_DEATH((void)lf.is_faulty(16, 0), "precondition violated");
+  EXPECT_DEATH((void)lf.is_faulty(1u << 20, 0), "precondition violated");
+  EXPECT_DEATH((void)lf.is_faulty(0, 4), "precondition violated");
+  EXPECT_DEATH((void)lf.is_faulty(3, 63), "precondition violated");
 }
 
 }  // namespace

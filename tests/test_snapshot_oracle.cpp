@@ -14,6 +14,9 @@
 //  4. The live walk judges against its decision snapshot until the
 //     published epoch moves, then re-acquires once per epoch it sees:
 //     ground_acquires counts those re-acquires and is 0 on a quiet oracle.
+//  5. acquire() serves an unchanged epoch from a per-thread slot, keyed
+//     by a never-reused oracle id, so it never returns another oracle's
+//     snapshot, nor one older than the epoch probed before the call.
 //
 // The multi-reader/single-writer tests at the bottom are the TSan
 // targets: real std::threads hammering acquire()/serve_route() against
@@ -24,6 +27,7 @@
 
 #include <atomic>
 #include <functional>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -164,6 +168,117 @@ TEST(SnapshotOracle, ApplyBatchAndRetargetPublishOnce) {
   // Retarget is a publication barrier even with nothing to change.
   oracle.retarget(target_f, target_l);
   EXPECT_EQ(oracle.epoch(), 3u);
+}
+
+// The acquire contract: a thread-local slot serves repeat acquires of an
+// unchanged epoch, and is never allowed to serve anything else.
+TEST(SnapshotOracle, QuietOracleAcquiresTheSameSnapshot) {
+  const topo::Hypercube q(4);
+  SnapshotOracle oracle(q);
+  oracle.add_fault(5);
+  const SnapshotPtr first = oracle.acquire();
+  const SnapshotPtr second = oracle.acquire();
+  EXPECT_EQ(first.get(), second.get());
+  EXPECT_EQ(second->epoch, 1u);
+}
+
+TEST(SnapshotOracle, AcquireAfterPublishSeesAtLeastTheProbedEpoch) {
+  const topo::Hypercube q(4);
+  SnapshotOracle oracle(q);
+  const SnapshotPtr before = oracle.acquire();  // fills this thread's slot
+  for (NodeId a = 1; a <= 6; ++a) {
+    oracle.add_fault(a);
+    const std::uint64_t probed = oracle.epoch();
+    const SnapshotPtr snap = oracle.acquire();
+    EXPECT_EQ(snap->epoch, a);
+    EXPECT_GE(snap->epoch, probed);
+    EXPECT_TRUE(snap->faults.is_faulty(a));
+  }
+  EXPECT_EQ(before->epoch, 0u);
+  EXPECT_EQ(before->faults.count(), 0u);
+}
+
+TEST(SnapshotOracle, AlternatingOraclesNeverCrossServe) {
+  const topo::Hypercube q4(4);
+  const topo::Hypercube q5(5);
+  SnapshotOracle a(q4);
+  SnapshotOracle b(q5);
+  b.add_fault(9);  // both oracles at distinct epochs and cubes
+  for (int round = 0; round < 6; ++round) {
+    const SnapshotPtr from_a = a.acquire();
+    const SnapshotPtr from_b = b.acquire();
+    ASSERT_EQ(from_a->links.cube().dimension(), 4u) << "round " << round;
+    ASSERT_EQ(from_b->links.cube().dimension(), 5u) << "round " << round;
+    EXPECT_EQ(from_a->epoch, a.epoch());
+    EXPECT_EQ(from_b->epoch, b.epoch());
+    // Equal epochs on both oracles must not alias either.
+    if (round % 2 == 0) a.add_fault(static_cast<NodeId>(round + 1));
+    if (round % 2 == 1) b.add_fault(static_cast<NodeId>(round + 10));
+  }
+  a.add_fault(15);
+  EXPECT_EQ(a.epoch(), b.epoch());
+  EXPECT_EQ(a.acquire()->links.cube().dimension(), 4u);
+  EXPECT_EQ(b.acquire()->links.cube().dimension(), 5u);
+  EXPECT_TRUE(a.acquire()->faults.is_faulty(15));
+  EXPECT_TRUE(b.acquire()->faults.is_faulty(9));
+}
+
+// ABA: a new oracle built in a dead one's storage, at the same epoch 0,
+// must miss this thread's slot — the slot is keyed by a never-reused id,
+// not by the object's address.
+TEST(SnapshotOracle, NewOracleAtADeadOnesAddressNeverSeesItsSnapshot) {
+  alignas(SnapshotOracle) unsigned char storage[sizeof(SnapshotOracle)];
+  const topo::Hypercube q4(4);
+  const topo::Hypercube q5(5);
+  auto* dead = new (storage) SnapshotOracle(q4);
+  const Snapshot* dead_snap = dead->acquire().get();
+  EXPECT_EQ(dead->epoch(), 0u);
+  dead->~SnapshotOracle();
+  fault::FaultSet faults(q5.num_nodes());
+  faults.mark_faulty(3);
+  auto* fresh = new (storage) SnapshotOracle(q5, faults,
+                                             fault::LinkFaultSet(q5));
+  ASSERT_EQ(static_cast<void*>(fresh), static_cast<void*>(storage));
+  const SnapshotPtr snap = fresh->acquire();
+  EXPECT_NE(snap.get(), dead_snap);
+  EXPECT_EQ(snap->epoch, 0u);
+  EXPECT_EQ(snap->links.cube().dimension(), 5u);
+  EXPECT_TRUE(snap->faults.is_faulty(3));
+  fresh->~SnapshotOracle();
+}
+
+// A snapshot shared with another thread is owned by the pointer it was
+// given, not by the acquiring thread's slot, which moves on.
+TEST(SnapshotOracle, HandedOffSnapshotOutlivesTheAcquirersSlot) {
+  const topo::Hypercube q(5);
+  SnapshotOracle oracle(q);
+  oracle.add_fault(4);
+  SnapshotPtr handed = oracle.acquire();
+  const std::uint64_t handed_epoch = handed->epoch;
+  const core::SafetyLevels handed_public = handed->public_view;
+  const core::SafetyLevels handed_self = handed->self_view;
+  std::atomic<bool> churned{false};
+  bool unchanged = false;
+  std::thread other([&, snap = std::move(handed)] {
+    while (!churned.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    unchanged = snap->epoch == handed_epoch && snap->faults.is_faulty(4) &&
+                snap->public_view == handed_public &&
+                snap->self_view == handed_self;
+    expect_snapshot_matches_scratch(*snap, "handed-off epoch");
+  });
+  // This thread drops its own reference and publishes past the epoch,
+  // acquiring each new one so its slot lets go of the handed snapshot.
+  for (NodeId a = 10; a < 16; ++a) {
+    oracle.add_fault(a);
+    EXPECT_EQ(oracle.acquire()->epoch, oracle.epoch());
+  }
+  oracle.remove_fault(4);
+  EXPECT_FALSE(oracle.acquire()->faults.is_faulty(4));
+  churned.store(true, std::memory_order_release);
+  other.join();
+  EXPECT_TRUE(unchanged);
 }
 
 // Guarantee 2: with ground == decision the serving path IS the paper's
