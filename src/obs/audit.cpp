@@ -543,7 +543,7 @@ bool summary_status_matches(std::string_view chain, std::string_view summary) {
 
 void AuditSink::handle(Lane& lane, const RouteSummaryEvent& ev) {
   if (!ev.promoted) {
-    // Breadcrumb-only: no chain exists by design. Counted, reconciled
+    // Unpromoted: no chain exists by design. Counted, reconciled
     // against the sampler's counters, never flagged as truncated.
     ++report_.breadcrumb_routes;
     return;
@@ -668,8 +668,7 @@ void AuditSink::finish() {
 }
 
 void AuditSink::reconcile_sampling(std::uint64_t promoted,
-                                   std::uint64_t breadcrumb_only,
-                                   std::uint64_t shed_events) {
+                                   std::uint64_t breadcrumb_only) {
   const std::scoped_lock lock(mutex_);
   if (report_.promoted_routes != promoted) {
     std::ostringstream ss;
@@ -683,7 +682,7 @@ void AuditSink::reconcile_sampling(std::uint64_t promoted,
        << " full chains, sampler promoted " << promoted;
     violation(ViolationKind::kSummaryMismatch, ss.str());
   }
-  // Breadcrumb-only routes may or may not have emitted summaries
+  // Unpromoted routes may or may not have emitted summaries
   // (emit_breadcrumb_summaries); when they did, the counts must agree.
   if (report_.breadcrumb_routes != 0 &&
       report_.breadcrumb_routes != breadcrumb_only) {
@@ -694,7 +693,6 @@ void AuditSink::reconcile_sampling(std::uint64_t promoted,
     violation(ViolationKind::kSummaryMismatch, ss.str());
   }
   report_.breadcrumb_routes = breadcrumb_only;
-  report_.events_lost += shed_events;
 }
 
 void AuditSink::note_events_lost(std::uint64_t lost) {

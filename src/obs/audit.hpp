@@ -84,15 +84,14 @@ class AuditSink final : public TraceSink {
   void finish();
 
   /// Reconcile a sampled stream against the upstream SamplingSink's
-  /// counters (the breadcrumb-only routes never reached this sink, so
+  /// counters (unpromoted routes never sent a chain to this sink, so
   /// they are checked by count, not flagged as truncated): every
   /// promoted route must have arrived as a full audited chain with its
-  /// summary, and the breadcrumb remainder is recorded in the report.
-  /// `shed_events` (chain events the budget shed) land in events_lost.
-  /// Call once, after the stream ends and before report().
+  /// summary, and the unpromoted remainder is recorded in the report as
+  /// breadcrumb_routes. Sampling drops no chain events, so events_lost
+  /// is untouched. Call once, after the stream ends and before report().
   void reconcile_sampling(std::uint64_t promoted,
-                          std::uint64_t breadcrumb_only,
-                          std::uint64_t shed_events = 0);
+                          std::uint64_t breadcrumb_only);
 
   /// Fold a producer-reported loss count (e.g. RingBufferSink::dropped)
   /// into the report, marking missing chains as explained truncation.

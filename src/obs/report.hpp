@@ -98,9 +98,8 @@ struct AuditReport {
   /// Epoch lineage seen in-stream (epoch_publish events).
   std::uint64_t epochs_published = 0;
   /// Producer-reported losses folded in from outside the stream:
-  /// RingBufferSink evictions (audit_ring) and sampler sheds
-  /// (reconcile_sampling). Nonzero means missing chains are explained
-  /// truncation, not producer bugs.
+  /// RingBufferSink evictions (audit_ring, note_events_lost). Nonzero
+  /// means missing chains are explained truncation, not producer bugs.
   std::uint64_t events_lost = 0;
 
   // --- distributions ---

@@ -1,39 +1,35 @@
 // slcube::obs — tail-sampled tracing for the serving layer: SamplingSink
 // keeps full-fidelity tracing "always on" at a cost the hot path can
-// afford. Every route pays for one fixed-size breadcrumb in a per-thread
-// ring; the full causal event chain is retained (forwarded downstream)
-// only when the route turns out to be interesting:
+// afford. Every route is counted in a per-thread shard; the full causal
+// event chain is retained (forwarded downstream) only when the route
+// turns out to be interesting:
 //
-//   * anomalies — drops, H+2 detours, misroutes, stale-epoch decisions,
-//     latency outliers past a configurable quantile (tail-based: the
-//     decision is made at end_route, when the outcome is known);
+//   * anomalies — misroutes, drops, H+2 detours and stale-epoch
+//     decisions (tail-based: the decision is made from the finished
+//     route's summary, when the outcome is known);
 //   * a deterministic 1-in-N head sample (route_id % head_every == 0) as
 //     the unbiased control against which the anomalous tail is read.
 //
-// Promotion is bounded by TraceBudget, a self-measuring token bucket:
-// the sink times its own downstream forwarding and spends those measured
-// nanoseconds against a refill of wall-elapsed-time x overhead_fraction.
-// When the bucket is empty the route sheds to breadcrumb-only — and the
-// shed is *counted* (per promotion reason), never silent, so audit
-// reconciliation can state exactly what the trace does not contain.
+// One integration path. The producer serves untraced and offer()s the
+// route's summary; only when the route promotes does it re-serve the
+// route traced and hand the regenerated chain to replay_chain(). That
+// needs a producer whose re-run reproduces the chain bit for bit
+// (workload::ServiceScript, or any serve against two immutable
+// snapshots). Unpromoted routes — the overwhelming majority — never pay
+// event construction, which is how the sampled path stays within a few
+// percent of untraced throughput.
 //
-// Determinism contract (mirrors the telemetry/sweep-engine contract):
-// with an unlimited budget and latency promotion off — the ticks-mode
-// configuration — the promotion decision is a pure function of the
-// route summary, so the promoted route *set* (promoted_digest(), an
-// order-independent fold) is bit-identical at any thread count. The
-// wall-clock budget and the latency quantile trade that invariance for
-// live-overhead control; benches gate the deterministic configuration.
+// Determinism contract: promotion is a pure function of the route
+// summary and head_every, so the promoted route *set* (promoted_digest(),
+// an order-independent fold) is bit-identical at any thread count.
 //
-// Concurrency contract: begin_route / end_route / on_event may be called
-// from any number of threads; routes are per-thread (begin and end on
-// the same thread, chains never interleave on one thread — the same
-// producer contract AuditSink relies on). Route events buffer in a
-// thread-owned shard without locking; non-route events (epoch_publish,
-// churn, gs rounds) pass straight through. Promoted chains are forwarded
-// under one internal mutex as an atomic burst, so the downstream sink
-// sees whole chains even when it is a shared LockedJsonlSink; the
-// downstream sink must itself be thread-safe.
+// Concurrency contract: offer / replay_chain / on_event may be called
+// from any number of threads. offer() touches only the calling thread's
+// shard, without locking. Everything forwarded downstream — promoted
+// chains with their summaries, unpromoted summaries, passthrough events —
+// goes under one internal mutex, and a promoted chain plus its summary is
+// one burst, so the downstream sink sees whole chains even when it is a
+// shared LockedJsonlSink; the downstream sink must itself be thread-safe.
 #pragma once
 
 #include <cstdint>
@@ -42,99 +38,32 @@
 #include <mutex>
 #include <span>
 #include <thread>
-#include <vector>
 
 #include "obs/trace.hpp"
 
 namespace slcube::obs {
 
-/// Why a route's full chain was (or would have been) retained.
+/// Why a route's full chain was retained.
 enum class PromoteReason : std::uint8_t {
-  kNone = 0,  ///< breadcrumb only
+  kNone = 0,  ///< not promoted: counted only
   kHead,      ///< deterministic 1-in-N control sample
   kDrop,      ///< route dropped (lost to a ground fault)
   kDetour,    ///< delivered on the H+2 spare path
   kStale,     ///< decision epoch older than ground epoch
   kMisroute,  ///< diagnosis-attributed misroute
-  kLatency,   ///< past the configured latency quantile
 };
-inline constexpr std::size_t kNumPromoteReasons = 7;
+inline constexpr std::size_t kNumPromoteReasons = 6;
 [[nodiscard]] const char* to_string(PromoteReason r);
-
-/// Self-measuring token bucket bounding promotion overhead. Tokens are
-/// nanoseconds of downstream forwarding; refill accrues at
-/// overhead_fraction of wall time elapsed since the last refill, capped
-/// at burst_ns so idle periods cannot bank unbounded credit.
-class TraceBudget {
- public:
-  struct Options {
-    /// Always admit (still counts admissions): the deterministic mode
-    /// used when promotion decisions must be interleaving-free.
-    bool unlimited = true;
-    /// Fraction of wall time promotion may consume (0.05 = 5%).
-    double overhead_fraction = 0.05;
-    /// Token cap and initial credit, in nanoseconds.
-    std::uint64_t burst_ns = 2'000'000;
-  };
-
-  TraceBudget() : TraceBudget(Options()) {}
-  explicit TraceBudget(Options opt);
-
-  /// True when the route may promote. Admit-then-settle: one oversized
-  /// chain may overdraw the bucket by a single route; the debt is repaid
-  /// before the next admission.
-  [[nodiscard]] bool try_admit();
-  /// Record the measured cost of an admitted promotion.
-  void settle(std::uint64_t spent_ns);
-  /// Test/tuning hook: grant extra credit without waiting on the clock.
-  void credit_ns(std::uint64_t ns);
-
-  struct Stats {
-    std::uint64_t admitted = 0;
-    std::uint64_t shed = 0;      ///< admissions refused
-    std::uint64_t spent_ns = 0;  ///< settled forwarding time
-  };
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] bool unlimited() const { return opt_.unlimited; }
-
- private:
-  void refill();
-
-  Options opt_;
-  mutable std::mutex mutex_;  ///< promotion-rate path; never on breadcrumbs
-  std::int64_t tokens_ns_ = 0;
-  std::uint64_t last_refill_ns_ = 0;  ///< steady-clock ns at last refill
-  std::uint64_t admitted_ = 0;
-  std::uint64_t shed_ = 0;
-  std::uint64_t spent_ns_ = 0;
-};
-
-/// The fixed-size per-route record every route writes. 16 bytes.
-struct Breadcrumb {
-  std::uint32_t route_id_lo = 0;  ///< low 32 bits of the route id
-  std::uint32_t decision_epoch_lo = 0;
-  std::uint16_t hops = 0;
-  std::uint8_t status = 0;  ///< caller's status code (svc::ServeStatus)
-  /// log2 bucket of latency in nanoseconds; 0xFF = not measured.
-  std::uint8_t latency_bucket = 0xFF;
-  std::uint8_t reason = 0;  ///< PromoteReason decided for this route
-  std::uint8_t flags = 0;   ///< kFlagStale | kFlagPromoted | kFlagShed
-  std::uint16_t chain_events = 0;  ///< events buffered while open
-  static constexpr std::uint8_t kFlagStale = 1;
-  static constexpr std::uint8_t kFlagPromoted = 2;
-  static constexpr std::uint8_t kFlagShed = 4;  ///< wanted promotion, no budget
-};
-static_assert(sizeof(Breadcrumb) == 16);
 
 /// What the caller knows about a finished route; the sampler's entire
 /// promotion decision is a pure function of this struct (plus the head
-/// modulus and, in live mode, the latency history).
+/// modulus).
 struct RouteSummary {
   std::uint64_t route_id = 0;
   std::uint64_t decision_epoch = 0;
   std::uint64_t ground_epoch = 0;
   const char* status = "";       ///< e.g. to_string(svc::ServeStatus)
-  std::uint8_t status_code = 0;  ///< small code for breadcrumbs/digest
+  std::uint8_t status_code = 0;  ///< small code folded into the digest
   unsigned hops = 0;
   bool dropped = false;
   bool detour = false;
@@ -147,30 +76,10 @@ struct SamplingConfig {
   /// Promote route ids divisible by this as the unbiased control;
   /// 0 disables head sampling.
   std::uint32_t head_every = 1024;
-  bool promote_drops = true;
-  bool promote_detours = true;
-  bool promote_misroutes = true;
-  bool promote_stale = true;
-  /// Promote latencies past this quantile of the shard-local history
-  /// (0 disables; only meaningful in live mode where latency_us >= 0).
-  double latency_quantile = 0.0;
-  /// Latency samples a shard must see before the quantile applies.
-  std::uint64_t latency_warmup = 512;
-  /// Per-thread breadcrumb ring capacity (oldest evicted, counted). The
-  /// default keeps each shard's ring at 128 KiB so steady-state crumb
-  /// writes stay cache-resident instead of streaming through LLC and
-  /// evicting the serving layer's routing tables — measurably cheaper
-  /// per route than a larger ring despite wrapping sooner.
-  std::size_t breadcrumb_capacity = 8192;
-  /// Per-route chain buffer bound; a route that exceeds it is demoted to
-  /// breadcrumb-only (counted as overflow) rather than forwarded
-  /// truncated, which would read as a producer bug downstream.
-  std::size_t max_chain_events = 512;
   /// Also forward a RouteSummaryEvent (promoted=false) for routes that
-  /// stay breadcrumb-only, making the downstream stream self-describing
-  /// at one event per route. Off for the <5%-overhead configuration.
+  /// stay unpromoted, making the downstream stream self-describing at
+  /// one event per route. Off for the <5%-overhead configuration.
   bool emit_breadcrumb_summaries = false;
-  TraceBudget::Options budget;
 };
 
 /// See the file comment. `downstream` receives passthrough events,
@@ -181,48 +90,22 @@ class SamplingSink final : public TraceSink {
   explicit SamplingSink(TraceSink* downstream, SamplingConfig config = {});
   ~SamplingSink() override;
 
-  /// Route events between begin_route and end_route (on the calling
-  /// thread) buffer into the route's chain; everything else forwards
-  /// straight downstream.
+  /// Non-route events (epoch_publish, churn, GS rounds) forward straight
+  /// downstream — between bursts, never inside one.
   void on_event(const TraceEvent& ev) override;
-
-  // --- buffered mode (live producers) --------------------------------
-  // The route's events are buffered as they happen and forwarded at
-  // end_route if the route promotes. Works for any producer; every
-  // route pays event construction + one copy per event.
-
-  /// Open a route on the calling thread. Routes must not nest.
-  void begin_route(std::uint64_t route_id);
-  /// Close the route: decide promotion, write the breadcrumb, forward
-  /// the chain + summary if promoted and the budget admits. Returns the
-  /// decided reason (kNone = breadcrumb only) — callers use it to tally
-  /// retention without re-deriving the classification.
-  PromoteReason end_route(const RouteSummary& summary);
-
-  // --- replay mode (deterministic producers) --------------------------
-  // When re-running a route reproduces its event chain bit-for-bit
-  // (e.g. workload::ServiceScript, or any serve against two immutable
-  // snapshots), the chain need not be buffered at all: serve untraced,
-  // offer() the summary, and only when it promotes re-serve traced and
-  // hand the regenerated chain to replay_chain(). Unpromoted routes —
-  // the overwhelming majority — then pay only the breadcrumb
-  // accounting, which is how the sampled path stays within a few
-  // percent of untraced throughput. Promotion decisions, counters,
-  // digest, and breadcrumbs are identical to buffered mode (the
-  // breadcrumb's chain_events is 0: nothing was buffered). Do not mix
-  // the modes mid-route on one thread.
 
   struct Offer {
     PromoteReason reason = PromoteReason::kNone;
-    /// True when the route promoted (budget admitted): the caller must
-    /// regenerate the chain and call replay_chain().
+    /// True when the route promoted: the caller must regenerate the
+    /// chain and call replay_chain().
     bool promoted = false;
   };
+  /// Count the route and decide its promotion (forwarding its summary
+  /// now when it stays unpromoted and emit_breadcrumb_summaries is on).
   [[nodiscard]] Offer offer(const RouteSummary& summary);
 
   /// Forward a regenerated chain + its summary downstream as one atomic
-  /// burst (and settle the budget with the measured cost). Only for
-  /// routes offer() promoted.
+  /// burst. Only for routes offer() promoted.
   void replay_chain(const RouteSummary& summary, PromoteReason reason,
                     std::span<const TraceEvent> chain);
 
@@ -230,49 +113,31 @@ class SamplingSink final : public TraceSink {
     std::uint64_t routes = 0;
     std::uint64_t promoted = 0;         ///< full chains forwarded
     std::uint64_t breadcrumb_only = 0;  ///< routes with no chain forwarded
-    std::uint64_t shed_routes = 0;      ///< wanted promotion, budget refused
-    std::uint64_t shed_events = 0;      ///< chain events those sheds dropped
-    std::uint64_t overflow_routes = 0;  ///< demoted by max_chain_events
-    std::uint64_t buffered_events = 0;  ///< route events seen
-    std::uint64_t passthrough_events = 0;
-    std::uint64_t breadcrumbs_dropped = 0;  ///< ring evictions
     std::uint64_t promoted_by_reason[kNumPromoteReasons] = {};
-    std::uint64_t shed_by_reason[kNumPromoteReasons] = {};
   };
   /// Merged over all thread shards. Safe to call concurrently with
-  /// serving; counters for a route become visible at its end_route.
+  /// serving; a route's counters become visible at its offer().
   [[nodiscard]] Stats stats() const;
 
   /// Order-independent fold (xor of a mix of id/status/hops/reason) over
   /// the promoted route set — the thread-invariance fingerprint gated in
-  /// BENCH_SAMPLING.json. Deterministic-mode runs must produce the same
-  /// digest at any thread count.
+  /// BENCH_SAMPLING.json.
   [[nodiscard]] std::uint64_t promoted_digest() const;
 
-  /// All retained breadcrumbs, grouped by shard in ring order.
-  [[nodiscard]] std::vector<Breadcrumb> breadcrumbs() const;
-
-  [[nodiscard]] TraceBudget& budget() { return budget_; }
-  [[nodiscard]] const SamplingConfig& config() const { return config_; }
-
-  /// The promotion rule as a pure function (exposed for tests): why
-  /// would `s` promote, ignoring budget and latency history?
+  /// The promotion rule as a pure function, in fixed order:
+  /// misroute > drop > detour > stale > head.
   [[nodiscard]] static PromoteReason classify(const RouteSummary& s,
                                               const SamplingConfig& config);
 
  private:
   struct Shard;
   Shard& local_shard();
-  PromoteReason apply_latency(Shard& shard, PromoteReason reason,
-                              std::uint8_t bucket) const;
-  void push_breadcrumb(Shard& shard, const Breadcrumb& crumb);
 
   SamplingConfig config_;
   TraceSink* downstream_;
-  TraceBudget budget_;
   const std::uint64_t id_;  ///< never-reused, keys the thread-local cache
-  mutable std::mutex mutex_;  ///< shard map + promotion burst ordering
-  mutable std::map<std::thread::id, std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mutex_;  ///< shard map + every downstream forward
+  std::map<std::thread::id, std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace slcube::obs

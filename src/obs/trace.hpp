@@ -22,7 +22,8 @@
 // line structure); LockedJsonlSink is the synchronized wrapper for
 // multi-worker shared files. TeeSink adds no locking of its own — it is
 // exactly as safe as the least safe sink it fans out to. AuditSink
-// (audit.hpp) and SamplingSink (sampling.hpp) synchronize internally.
+// (audit.hpp) synchronizes internally; SamplingSink (sampling.hpp)
+// serializes everything it forwards, passthrough events included.
 #pragma once
 
 #include <cstdint>
@@ -152,11 +153,12 @@ struct EpochPublishEvent {
   std::uint64_t ts = 0;
 };
 
-/// Per-route verdict from obs::SamplingSink: emitted after the full
-/// chain for promoted routes, and (optionally) alone for breadcrumb-only
-/// routes. `status` is the serving-layer status string (svc::ServeStatus
-/// for the service benches), which refines the chain's route_done status
-/// ("lost" chains carry the precise dropped-source/node/link cause here).
+/// Per-route verdict from obs::SamplingSink: emitted right after the
+/// full chain, in the same burst, for promoted routes, and (with
+/// emit_breadcrumb_summaries) alone for unpromoted routes. `status` is
+/// the serving-layer status string (svc::ServeStatus for the service
+/// benches), which refines the chain's route_done status ("lost" chains
+/// carry the precise dropped-source/node/link cause here).
 struct RouteSummaryEvent {
   std::uint64_t route_id = 0;
   std::uint64_t decision_epoch = 0;
@@ -165,7 +167,7 @@ struct RouteSummaryEvent {
   unsigned hops = 0;
   double latency_us = -1.0;  ///< < 0 = not measured (ticks mode)
   bool promoted = false;     ///< full chain retained (precedes this event)
-  const char* reason = "";   ///< promotion reason, "none" for breadcrumbs
+  const char* reason = "";   ///< promotion reason, "none" when unpromoted
 };
 
 /// Per-point summary of an experiment sweep: timing, worker utilization,
@@ -265,10 +267,10 @@ class JsonlSink final : public TraceSink {
 /// number of worker threads may share one JSONL file. Lines from
 /// different threads interleave at event granularity — fine for
 /// independent events (churn, sweep points, promoted summaries) and for
-/// SamplingSink output (which forwards each promoted chain as one
-/// locked burst), but a multi-threaded producer emitting raw route
-/// chains will still interleave *chains*; keep those per-thread or
-/// sample them.
+/// SamplingSink output (which forwards everything under one lock, each
+/// promoted chain and its summary as one burst), but a multi-threaded
+/// producer emitting raw route chains will still interleave *chains*;
+/// keep those per-thread or sample them.
 class LockedJsonlSink final : public TraceSink {
  public:
   explicit LockedJsonlSink(std::ostream& os) : inner_(os) {}

@@ -18,7 +18,11 @@
 //
 // Identical requests at any thread count and any execution order — the
 // property the SamplingSink's promoted-digest thread-invariance gate
-// (BENCH_SAMPLING.json) is built on. The time axis of a scripted run is
+// (BENCH_SAMPLING.json) is built on. Serving a request a second time,
+// traced, reproduces its event chain bit for bit, which is what the
+// sampler's one integration path needs: offer() the untraced summary,
+// and re-serve only a promoted route to regenerate the chain for
+// replay_chain(). The time axis of a scripted run is
 // the request index: epoch e "activates" at the first request whose
 // decision epoch is e, which is what emit_epoch_events stamps into the
 // epoch_publish lineage (and what the timeline exporter plots).

@@ -805,13 +805,12 @@ TEST(Audit, ReconcileSamplingAcceptsAConsistentSampledStream) {
   AuditSink audit(dim3_config());
   emit_promoted_route(audit, 12, "head");
   emit_promoted_route(audit, 40, "drop");
-  // One breadcrumb-only summary (emit_breadcrumb_summaries mode): no
+  // One unpromoted summary (emit_breadcrumb_summaries mode): no
   // chain precedes it, and that must NOT read as a truncated route.
   audit.on_event(RouteSummaryEvent{13, 4, 4, "delivered-optimal", 1, -1.0,
                                    /*promoted=*/false, "none"});
   audit.finish();
-  audit.reconcile_sampling(/*promoted=*/2, /*breadcrumb_only=*/1,
-                           /*shed_events=*/5);
+  audit.reconcile_sampling(/*promoted=*/2, /*breadcrumb_only=*/1);
   const AuditReport report = audit.report();
   EXPECT_TRUE(report.clean())
       << (report.details.empty() ? std::string("(no detail)")
@@ -819,7 +818,7 @@ TEST(Audit, ReconcileSamplingAcceptsAConsistentSampledStream) {
   EXPECT_EQ(report.routes, 2u);
   EXPECT_EQ(report.promoted_routes, 2u);
   EXPECT_EQ(report.breadcrumb_routes, 1u);
-  EXPECT_EQ(report.events_lost, 5u);  // budget sheds, explained
+  EXPECT_EQ(report.events_lost, 0u);  // sampling loses no chain events
   EXPECT_EQ(report.promoted_by_reason.at("head"), 1u);
   EXPECT_EQ(report.promoted_by_reason.at("drop"), 1u);
 }

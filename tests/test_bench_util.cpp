@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -148,6 +149,15 @@ TEST(BenchUtil, TelemetrySessionIsGatedOnTheFlag) {
   session.hooks().registry->counter("gate.count").inc(3);
   session.tick();
   ASSERT_TRUE(session.finish(6, 2));
+  {
+    // The header line is pinned byte for byte: readers match on it.
+    std::ifstream in(on.telemetry_file);
+    std::string meta;
+    ASSERT_TRUE(std::getline(in, meta));
+    EXPECT_EQ(meta,
+              "{\"event\":\"telemetry_meta\",\"dim\":6,\"threads\":2,"
+              "\"mode\":\"ticks\",\"samples\":1,\"ticks\":1}");
+  }
   std::size_t malformed = 0;
   const auto events = obs::read_jsonl_file(on.telemetry_file, &malformed);
   EXPECT_EQ(malformed, 0u);

@@ -1,21 +1,19 @@
-// obs::SamplingSink + obs::TraceBudget — the tail-sampling layer's
-// load-bearing guarantees:
+// obs::SamplingSink — the tail-sampling layer's load-bearing guarantees:
 //
-//  1. Promotion is a pure function of the route summary (ticks mode):
-//     the promoted set — and therefore the order-independent digest —
-//     is bit-identical across thread counts and across the two
-//     integration modes (buffered begin/end vs offer/replay).
+//  1. Promotion is a pure function of the route summary: the promoted
+//     set — and therefore the order-independent digest — is
+//     bit-identical across thread counts.
 //  2. Anomalous routes (drop / detour / stale / misroute) are always
-//     retained as full chains while the budget admits; an exhausted
-//     budget sheds to breadcrumbs-only and counts exactly what it shed.
-//  3. The breadcrumb ring is a bounded flight recorder: eviction keeps
-//     the newest crumbs and counts the loss.
+//     retained as full chains, each forwarded as one burst followed by
+//     its summary — whole even while other threads forward.
 #include "obs/sampling.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -82,18 +80,7 @@ TEST(Sampling, ClassifyHeadSampleIsDeterministicModulo) {
   }
 }
 
-TEST(Sampling, ClassifyRespectsDisabledReasons) {
-  SamplingConfig cfg;
-  cfg.promote_drops = false;
-  cfg.promote_detours = false;
-  cfg.promote_stale = false;
-  cfg.promote_misroutes = false;
-  cfg.head_every = 0;
-  EXPECT_EQ(SamplingSink::classify(make_summary(0, true, true, 3, true), cfg),
-            PromoteReason::kNone);
-}
-
-// --- buffered mode ---------------------------------------------------------
+// --- offer / replay ---------------------------------------------------------
 
 TEST(Sampling, PromotedRouteForwardsChainThenSummary) {
   CollectSink sink;
@@ -101,11 +88,13 @@ TEST(Sampling, PromotedRouteForwardsChainThenSummary) {
   cfg.head_every = 0;
   SamplingSink sampler(&sink, cfg);
 
-  sampler.begin_route(7);
-  sampler.on_event(filler_hop(0));
-  sampler.on_event(filler_hop(1));
-  const PromoteReason reason = sampler.end_route(make_summary(7, true));
-  EXPECT_EQ(reason, PromoteReason::kDrop);
+  const RouteSummary route = make_summary(7, true);
+  const SamplingSink::Offer offer = sampler.offer(route);
+  EXPECT_EQ(offer.reason, PromoteReason::kDrop);
+  ASSERT_TRUE(offer.promoted);
+  EXPECT_TRUE(sink.events.empty()) << "nothing forwards before the replay";
+  const std::vector<TraceEvent> chain{filler_hop(0), filler_hop(1)};
+  sampler.replay_chain(route, offer.reason, chain);
 
   ASSERT_EQ(sink.events.size(), 3u);
   EXPECT_TRUE(std::holds_alternative<HopEvent>(sink.events[0]));
@@ -120,60 +109,42 @@ TEST(Sampling, PromotedRouteForwardsChainThenSummary) {
   EXPECT_EQ(stats.routes, 1u);
   EXPECT_EQ(stats.promoted, 1u);
   EXPECT_EQ(stats.breadcrumb_only, 0u);
-  EXPECT_EQ(stats.buffered_events, 2u);
   EXPECT_EQ(
       stats.promoted_by_reason[static_cast<std::size_t>(PromoteReason::kDrop)],
       1u);
-
-  const std::vector<Breadcrumb> crumbs = sampler.breadcrumbs();
-  ASSERT_EQ(crumbs.size(), 1u);
-  EXPECT_EQ(crumbs[0].route_id_lo, 7u);
-  EXPECT_NE(crumbs[0].flags & Breadcrumb::kFlagPromoted, 0);
-  EXPECT_EQ(crumbs[0].chain_events, 2u);
+  EXPECT_NE(sampler.promoted_digest(), 0u);
 }
 
 TEST(Sampling, UnpromotedRouteLeavesOnlyABreadcrumb) {
-  CollectSink sink;
-  SamplingConfig cfg;
-  cfg.head_every = 0;
-  SamplingSink sampler(&sink, cfg);
+  // Counted only; with emit_breadcrumb_summaries its lone summary
+  // (promoted=false) is the one trace of it downstream.
+  for (const bool summaries : {false, true}) {
+    CollectSink sink;
+    SamplingConfig cfg;
+    cfg.head_every = 0;
+    cfg.emit_breadcrumb_summaries = summaries;
+    SamplingSink sampler(&sink, cfg);
 
-  sampler.begin_route(3);
-  sampler.on_event(filler_hop(0));
-  EXPECT_EQ(sampler.end_route(make_summary(3)), PromoteReason::kNone);
+    const SamplingSink::Offer offer = sampler.offer(make_summary(3));
+    EXPECT_EQ(offer.reason, PromoteReason::kNone);
+    EXPECT_FALSE(offer.promoted);
 
-  EXPECT_TRUE(sink.events.empty());
-  const SamplingSink::Stats stats = sampler.stats();
-  EXPECT_EQ(stats.routes, 1u);
-  EXPECT_EQ(stats.promoted, 0u);
-  EXPECT_EQ(stats.breadcrumb_only, 1u);
-  const std::vector<Breadcrumb> crumbs = sampler.breadcrumbs();
-  ASSERT_EQ(crumbs.size(), 1u);
-  EXPECT_EQ(crumbs[0].flags & Breadcrumb::kFlagPromoted, 0);
-  EXPECT_EQ(sampler.promoted_digest(), 0u);
-}
-
-TEST(Sampling, ChainOverflowDemotesToBreadcrumbAndCounts) {
-  CollectSink sink;
-  SamplingConfig cfg;
-  cfg.head_every = 0;
-  cfg.max_chain_events = 2;
-  SamplingSink sampler(&sink, cfg);
-
-  sampler.begin_route(1);
-  for (std::uint64_t i = 0; i < 5; ++i) sampler.on_event(filler_hop(i));
-  EXPECT_EQ(sampler.end_route(make_summary(1, true)), PromoteReason::kDrop);
-
-  // A truncated chain must not be forwarded (it would audit as broken).
-  EXPECT_TRUE(sink.events.empty());
-  const SamplingSink::Stats stats = sampler.stats();
-  EXPECT_EQ(stats.overflow_routes, 1u);
-  EXPECT_EQ(stats.promoted, 0u);
-  EXPECT_EQ(stats.breadcrumb_only, 1u);
-  const std::vector<Breadcrumb> crumbs = sampler.breadcrumbs();
-  ASSERT_EQ(crumbs.size(), 1u);
-  EXPECT_NE(crumbs[0].flags & Breadcrumb::kFlagShed, 0);
-  EXPECT_EQ(crumbs[0].chain_events, 5u);
+    const SamplingSink::Stats stats = sampler.stats();
+    EXPECT_EQ(stats.routes, 1u);
+    EXPECT_EQ(stats.promoted, 0u);
+    EXPECT_EQ(stats.breadcrumb_only, 1u);
+    EXPECT_EQ(sampler.promoted_digest(), 0u);
+    if (!summaries) {
+      EXPECT_TRUE(sink.events.empty());
+      continue;
+    }
+    ASSERT_EQ(sink.events.size(), 1u);
+    const auto* summary = std::get_if<RouteSummaryEvent>(&sink.events[0]);
+    ASSERT_NE(summary, nullptr);
+    EXPECT_EQ(summary->route_id, 3u);
+    EXPECT_FALSE(summary->promoted);
+    EXPECT_STREQ(summary->reason, "none");
+  }
 }
 
 TEST(Sampling, PassthroughOutsideRoutesForwardsDirectly) {
@@ -183,65 +154,87 @@ TEST(Sampling, PassthroughOutsideRoutesForwardsDirectly) {
   epoch.epoch = 42;
   sampler.on_event(epoch);
   ASSERT_EQ(sink.events.size(), 1u);
-  EXPECT_EQ(sampler.stats().passthrough_events, 1u);
+  const auto* forwarded = std::get_if<EpochPublishEvent>(&sink.events[0]);
+  ASSERT_NE(forwarded, nullptr);
+  EXPECT_EQ(forwarded->epoch, 42u);
+  EXPECT_EQ(sampler.stats().routes, 0u);
 }
 
-// --- replay mode -----------------------------------------------------------
-
-TEST(Sampling, ReplayModeMatchesBufferedModeExactly) {
-  // The same 64-route synthetic workload through both integration
-  // modes: digest, promoted set, and counters must agree; replay-mode
-  // crumbs record chain_events = 0 (nothing was buffered).
-  const auto route = [](std::uint64_t id) {
-    const bool dropped = id % 16 == 5;
-    const bool detour = id % 16 == 9;
-    const std::uint64_t lag = id % 16 == 13 ? 2 : 0;
-    return make_summary(id, dropped, detour, lag);
-  };
-  SamplingConfig cfg;
-  cfg.head_every = 32;
-
-  CollectSink buffered_sink;
-  SamplingSink buffered(&buffered_sink, cfg);
-  for (std::uint64_t id = 0; id < 64; ++id) {
-    buffered.begin_route(id);
-    buffered.on_event(filler_hop(id));
-    buffered.end_route(route(id));
-  }
-
-  CollectSink replay_sink;
-  SamplingSink replayed(&replay_sink, cfg);
-  for (std::uint64_t id = 0; id < 64; ++id) {
-    const RouteSummary summary = route(id);
-    const SamplingSink::Offer offer = replayed.offer(summary);
-    EXPECT_EQ(offer.reason, SamplingSink::classify(summary, cfg));
-    if (offer.promoted) {
-      const std::vector<TraceEvent> chain{filler_hop(id)};
-      replayed.replay_chain(summary, offer.reason, chain);
+/// Thread-safe downstream that stalls inside the first promoted burst:
+/// on the chain's first hop it waits (bounded) for a passthrough event
+/// to arrive, which can only happen mid-burst if passthrough forwarding
+/// bypasses the burst lock.
+class StallingSink final : public TraceSink {
+ public:
+  void on_event(const TraceEvent& ev) override {
+    std::unique_lock lock(mutex_);
+    events_.push_back(ev);
+    if (std::holds_alternative<EpochPublishEvent>(ev)) {
+      passthrough_seen_ = true;
+      cv_.notify_all();
+    } else if (std::holds_alternative<HopEvent>(ev) && !stalled_) {
+      stalled_ = true;
+      cv_.notify_all();
+      cv_.wait_for(lock, std::chrono::milliseconds(300),
+                   [&] { return passthrough_seen_; });
     }
   }
-
-  EXPECT_EQ(buffered.promoted_digest(), replayed.promoted_digest());
-  EXPECT_NE(buffered.promoted_digest(), 0u);
-  const SamplingSink::Stats b = buffered.stats();
-  const SamplingSink::Stats r = replayed.stats();
-  EXPECT_EQ(b.routes, r.routes);
-  EXPECT_EQ(b.promoted, r.promoted);
-  EXPECT_EQ(b.breadcrumb_only, r.breadcrumb_only);
-  // Buffered mode pays event buffering for every route; replay mode only
-  // for the chains it actually regenerated — the point of the mode.
-  EXPECT_EQ(b.buffered_events, 64u);
-  EXPECT_EQ(r.buffered_events, r.promoted);
-  for (std::size_t i = 0; i < kNumPromoteReasons; ++i) {
-    EXPECT_EQ(b.promoted_by_reason[i], r.promoted_by_reason[i]) << i;
+  /// Block (bounded) until a burst has stalled in on_event.
+  bool wait_for_stall() {
+    std::unique_lock lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return stalled_; });
   }
-  EXPECT_EQ(buffered_sink.events.size(), replay_sink.events.size());
-
-  const std::vector<Breadcrumb> crumbs = replayed.breadcrumbs();
-  ASSERT_EQ(crumbs.size(), 64u);
-  for (const Breadcrumb& crumb : crumbs) {
-    EXPECT_EQ(crumb.chain_events, 0u);
+  std::vector<TraceEvent> events() {
+    const std::scoped_lock lock(mutex_);
+    return events_;
   }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<TraceEvent> events_;
+  bool stalled_ = false;
+  bool passthrough_seen_ = false;
+};
+
+TEST(Sampling, PassthroughNeverSplitsAPromotedChain) {
+  StallingSink sink;
+  SamplingConfig cfg;
+  cfg.head_every = 0;
+  SamplingSink sampler(&sink, cfg);
+
+  // This thread serves a route of its own first, so it is a registered
+  // producer before the burst starts and only forwarding order is tested.
+  EXPECT_FALSE(sampler.offer(make_summary(4)).promoted);
+  const RouteSummary route = make_summary(5, true);
+  std::thread producer([&] {
+    const SamplingSink::Offer offer = sampler.offer(route);
+    const std::vector<TraceEvent> chain{filler_hop(0), filler_hop(1),
+                                        filler_hop(2)};
+    sampler.replay_chain(route, offer.reason, chain);
+  });
+  ASSERT_TRUE(sink.wait_for_stall());
+  EpochPublishEvent epoch;
+  epoch.epoch = 9;
+  sampler.on_event(epoch);  // from another thread, mid-burst
+  producer.join();
+
+  // The chain's hops are contiguous and immediately followed by their
+  // summary; the passthrough event lands outside the burst.
+  const std::vector<TraceEvent> events = sink.events();
+  ASSERT_EQ(events.size(), 5u);
+  std::vector<std::size_t> hops;
+  std::size_t summary_at = events.size();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (std::holds_alternative<HopEvent>(events[i])) hops.push_back(i);
+    if (std::holds_alternative<RouteSummaryEvent>(events[i])) summary_at = i;
+  }
+  ASSERT_EQ(hops.size(), 3u);
+  for (std::size_t k = 1; k < hops.size(); ++k) {
+    EXPECT_EQ(hops[k], hops[k - 1] + 1) << "passthrough split the chain";
+  }
+  EXPECT_EQ(summary_at, hops.back() + 1) << "summary not right after chain";
 }
 
 // --- thread-count invariance (the gated digest property) -------------------
@@ -316,133 +309,6 @@ TEST(Sampling, PromotedDigestIsThreadCountInvariant) {
     EXPECT_EQ(stats.breadcrumb_only, stats1.breadcrumb_only)
         << nthreads << " threads";
   }
-}
-
-// --- budget ----------------------------------------------------------------
-
-TEST(TraceBudget, UnlimitedAlwaysAdmits) {
-  TraceBudget budget;  // default: unlimited
-  EXPECT_TRUE(budget.unlimited());
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(budget.try_admit());
-  EXPECT_EQ(budget.stats().admitted, 100u);
-  EXPECT_EQ(budget.stats().shed, 0u);
-}
-
-TEST(TraceBudget, ExhaustedBudgetSheds) {
-  TraceBudget::Options opt;
-  opt.unlimited = false;
-  opt.overhead_fraction = 0.0;  // no refill: spend-down only
-  opt.burst_ns = 10;
-  TraceBudget budget(opt);
-  EXPECT_TRUE(budget.try_admit());
-  budget.settle(1'000'000);  // overdraw
-  EXPECT_FALSE(budget.try_admit());
-  EXPECT_FALSE(budget.try_admit());
-  const TraceBudget::Stats stats = budget.stats();
-  EXPECT_EQ(stats.admitted, 1u);
-  EXPECT_EQ(stats.shed, 2u);
-  EXPECT_EQ(stats.spent_ns, 1'000'000u);
-  budget.credit_ns(10'000'000);
-  EXPECT_TRUE(budget.try_admit());
-}
-
-TEST(Sampling, BudgetShedsToBreadcrumbsAndCountsTheLoss) {
-  CollectSink sink;
-  SamplingConfig cfg;
-  cfg.head_every = 0;
-  cfg.budget.unlimited = false;
-  cfg.budget.overhead_fraction = 0.0;
-  cfg.budget.burst_ns = 1;  // one admission, then dry
-  SamplingSink sampler(&sink, cfg);
-
-  sampler.begin_route(0);
-  sampler.on_event(filler_hop(0));
-  EXPECT_EQ(sampler.end_route(make_summary(0, true)), PromoteReason::kDrop);
-  ASSERT_EQ(sink.events.size(), 2u);  // chain + summary
-
-  // Overdrawn now (settle charged the forward wall time plus our help).
-  sampler.budget().settle(1'000'000);
-  for (std::uint64_t id = 1; id <= 3; ++id) {
-    sampler.begin_route(id);
-    sampler.on_event(filler_hop(id));
-    sampler.on_event(filler_hop(id + 1));
-    EXPECT_EQ(sampler.end_route(make_summary(id, true)), PromoteReason::kDrop);
-  }
-  EXPECT_EQ(sink.events.size(), 2u) << "shed routes must forward nothing";
-
-  const SamplingSink::Stats stats = sampler.stats();
-  EXPECT_EQ(stats.promoted, 1u);
-  EXPECT_EQ(stats.shed_routes, 3u);
-  EXPECT_EQ(stats.shed_events, 6u);  // 3 shed chains x 2 buffered events
-  EXPECT_EQ(
-      stats.shed_by_reason[static_cast<std::size_t>(PromoteReason::kDrop)],
-      3u);
-  const std::vector<Breadcrumb> crumbs = sampler.breadcrumbs();
-  ASSERT_EQ(crumbs.size(), 4u);
-  int shed_flags = 0;
-  for (const Breadcrumb& crumb : crumbs) {
-    if ((crumb.flags & Breadcrumb::kFlagShed) != 0) ++shed_flags;
-  }
-  EXPECT_EQ(shed_flags, 3);
-}
-
-// --- breadcrumb ring -------------------------------------------------------
-
-TEST(Sampling, BreadcrumbRingEvictsOldestAndCountsDrops) {
-  CollectSink sink;
-  SamplingConfig cfg;
-  cfg.head_every = 0;
-  cfg.breadcrumb_capacity = 4;
-  SamplingSink sampler(&sink, cfg);
-  for (std::uint64_t id = 0; id < 10; ++id) {
-    (void)sampler.offer(make_summary(id));
-  }
-  EXPECT_EQ(sampler.stats().breadcrumbs_dropped, 6u);
-  const std::vector<Breadcrumb> crumbs = sampler.breadcrumbs();
-  ASSERT_EQ(crumbs.size(), 4u);
-  // Oldest-first snapshot of the newest four.
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(crumbs[i].route_id_lo, 6u + i);
-  }
-}
-
-TEST(Sampling, BreadcrumbRecordsStaleFlagAndEpoch) {
-  CollectSink sink;
-  SamplingConfig cfg;
-  cfg.head_every = 0;
-  cfg.promote_stale = false;  // keep it breadcrumb-only
-  SamplingSink sampler(&sink, cfg);
-  (void)sampler.offer(make_summary(9, false, false, 3));
-  const std::vector<Breadcrumb> crumbs = sampler.breadcrumbs();
-  ASSERT_EQ(crumbs.size(), 1u);
-  EXPECT_NE(crumbs[0].flags & Breadcrumb::kFlagStale, 0);
-  EXPECT_EQ(crumbs[0].decision_epoch_lo, 10u);
-  EXPECT_EQ(crumbs[0].route_id_lo, 9u);
-}
-
-// --- latency outliers (live mode) ------------------------------------------
-
-TEST(Sampling, LatencyOutlierPastQuantilePromotes) {
-  CollectSink sink;
-  SamplingConfig cfg;
-  cfg.head_every = 0;
-  cfg.latency_quantile = 0.9;
-  cfg.latency_warmup = 16;
-  SamplingSink sampler(&sink, cfg);
-
-  const auto timed = [](std::uint64_t id, double latency_us) {
-    RouteSummary s = make_summary(id);
-    s.latency_us = latency_us;
-    return s;
-  };
-  // Warm the histogram with uniform ~1us routes.
-  for (std::uint64_t id = 0; id < 32; ++id) {
-    EXPECT_EQ(sampler.offer(timed(id, 1.0)).reason, PromoteReason::kNone);
-  }
-  // A 4ms route is far past the p90 of that history.
-  const SamplingSink::Offer offer = sampler.offer(timed(99, 4000.0));
-  EXPECT_EQ(offer.reason, PromoteReason::kLatency);
-  EXPECT_TRUE(offer.promoted);
 }
 
 }  // namespace
