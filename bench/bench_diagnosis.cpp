@@ -96,8 +96,9 @@ int main(int argc, char** argv) {
     c.seed = seed + dim;  // per-dim substream family
     c.threads = opt.threads;
     c.trace = tees[di].get();
-    // Per-route events stream only into the (internally synchronized)
-    // audit sink; JsonlSink is single-threaded and gets point events only.
+    // Per-route events stream only into the per-lane audit sink; the
+    // JSONL file gets point events only, since workers' route chains
+    // would interleave in it.
     c.route_trace = audits[di].get();
     return c;
   };

@@ -27,9 +27,9 @@
 // through the invariant-checking AuditSink. Outcome counts are
 // interleaving-dependent, so the JSON baseline gates only the
 // self-consistency flags, latencies, and rates (see scripts/bench_gate.py).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -276,11 +276,11 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
   // cold-start turbo/page-fault transient, then each rep times both
   // passes back to back with the order mirrored every other rep (A,B /
   // B,A / ...) so monotonic frequency drift cannot systematically favor
-  // one side; the minima are compared. The workload is a pure function
-  // of the request index, so every rep serves identical routes; the
-  // sampler is rebuilt per rep because its promoted digest is an xor
-  // fold (a repeated promotion would cancel itself).
-  constexpr int kTimingReps = 4;
+  // one side. The workload is a pure function of the request index, so
+  // every rep serves identical routes; the sampler is rebuilt per rep
+  // because its promoted digest is an xor fold (a repeated promotion
+  // would cancel itself).
+  constexpr int kTimingReps = 10;
   std::vector<SampleTally> untraced_tallies(readers);
   std::vector<SampleTally> sampled_tallies(readers);
   obs::NullSink null_b;
@@ -337,10 +337,11 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
     });
   }
   // Overhead is judged per rep pair (the two passes run back to back,
-  // so a machine-wide slowdown epoch hits both sides of a pair equally)
-  // and the best pair wins — far more robust against multi-hundred-ms
-  // noise than comparing two global minima taken seconds apart.
-  double overhead_ratio = std::numeric_limits<double>::infinity();
+  // so a machine-wide slowdown epoch hits both sides of a pair equally).
+  // The median pair ratio is reported, with the pairs' interquartile
+  // range beside it: a minimum over pairs would pick the luckiest pair
+  // and read far below zero on a noisy host.
+  std::vector<double> pair_ratios;
   for (int rep = 0; rep < kTimingReps; ++rep) {
     double a_ms = 0.0;
     double b_ms = 0.0;
@@ -351,8 +352,19 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
       b_ms = run_sampled();
       a_ms = run_untraced();
     }
-    if (a_ms > 0) overhead_ratio = std::min(overhead_ratio, b_ms / a_ms);
+    if (a_ms > 0) pair_ratios.push_back(b_ms / a_ms);
   }
+  std::sort(pair_ratios.begin(), pair_ratios.end());
+  // Linear interpolation between order statistics; 1.0 (no overhead)
+  // when no pair was timed.
+  const auto ratio_quantile = [&](double q) {
+    if (pair_ratios.empty()) return 1.0;
+    const double pos = q * static_cast<double>(pair_ratios.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, pair_ratios.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return pair_ratios[lo] + frac * (pair_ratios[hi] - pair_ratios[lo]);
+  };
   const obs::SamplingSink::Stats stats = sampler_b->stats();
   const std::uint64_t digest = sampler_b->promoted_digest();
 
@@ -372,10 +384,7 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
   obs::AuditConfig audit_cfg;
   audit_cfg.dimension = dim;
   obs::AuditSink audit(audit_cfg);
-  std::unique_ptr<obs::LockedJsonlSink> jsonl;
-  if (!opt.jsonl_file.empty()) {
-    jsonl = std::make_unique<obs::LockedJsonlSink>(opt.jsonl_file);
-  }
+  const auto jsonl = opt.make_jsonl_sink();
   std::vector<obs::TraceSink*> fanout{&audit};
   if (jsonl != nullptr) fanout.push_back(jsonl.get());
   obs::TeeSink tee(fanout);
@@ -426,9 +435,9 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
   const double sampled_rate =
       sampled_ms > 0 ? 1000.0 * static_cast<double>(requests) / sampled_ms
                      : 0.0;
-  const double overhead_pct = std::isfinite(overhead_ratio)
-                                  ? (overhead_ratio - 1.0) * 100.0
-                                  : 0.0;
+  const double overhead_pct = (ratio_quantile(0.5) - 1.0) * 100.0;
+  const double overhead_iqr_pct =
+      (ratio_quantile(0.75) - ratio_quantile(0.25)) * 100.0;
 
   Table throughput("SAMPLING: tail-sampled tracing vs untraced, Q" +
                        std::to_string(dim) + " (" + std::to_string(requests) +
@@ -439,7 +448,10 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
   throughput.set_precision(1, 1);
   throughput.row() << "untraced routes / sec" << untraced_rate;
   throughput.row() << "sampled routes / sec" << sampled_rate;
-  throughput.row() << "sampling overhead %" << overhead_pct;
+  throughput.row() << "sampling overhead % (median pair)" << overhead_pct;
+  throughput.row() << "overhead IQR % (" + std::to_string(pair_ratios.size()) +
+                          " pairs)"
+                   << overhead_iqr_pct;
   throughput.row() << "untraced wall ms" << untraced_ms;
   throughput.row() << "sampled wall ms" << sampled_ms;
   bench::emit(throughput, opt);
@@ -575,17 +587,14 @@ int main(int argc, char** argv) {
   }
 
   const auto audit = opt.make_audit_sink(dim);
-  // Whole-line-locked JSONL so reader threads may share the file. Lanes
-  // still interleave in the output — replaying a multi-reader file
-  // through the single-lane JSONL auditor will report broken chains; use
-  // --jsonl with --readers 1 for replays.
-  std::unique_ptr<obs::LockedJsonlSink> locked_jsonl;
-  if (!opt.jsonl_file.empty()) {
-    locked_jsonl = std::make_unique<obs::LockedJsonlSink>(opt.jsonl_file);
-  }
+  // JsonlSink writes whole lines under its lock, so reader threads may
+  // share the file. Lanes still interleave in the output — replaying a
+  // multi-reader file through the single-lane JSONL auditor will report
+  // broken chains; use --jsonl with --readers 1 for replays.
+  const auto jsonl = opt.make_jsonl_sink();
   std::vector<obs::TraceSink*> fanout;
   if (audit != nullptr) fanout.push_back(audit.get());
-  if (locked_jsonl != nullptr) fanout.push_back(locked_jsonl.get());
+  if (jsonl != nullptr) fanout.push_back(jsonl.get());
   obs::TeeSink tee(fanout);
   obs::TraceSink* const trace = fanout.empty() ? nullptr : &tee;
 

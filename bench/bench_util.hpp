@@ -7,18 +7,15 @@
 // numeric values parse strictly as unsigned decimals) and table emission.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
-#include <system_error>
-#include <type_traits>
 
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "obs/audit.hpp"
 #include "obs/jsonl.hpp"
@@ -27,20 +24,6 @@
 #include "obs/trace.hpp"
 
 namespace slcube::bench {
-
-/// Strict decimal parse of an unsigned flag value: the whole string must
-/// be digits and fit in T. Signs, spaces, fractions, suffixes, hex and
-/// empty strings are rejected (nullopt) rather than read as a prefix.
-template <typename T>
-[[nodiscard]] std::optional<T> parse_unsigned(const char* text) {
-  static_assert(std::is_unsigned_v<T>);
-  if (text == nullptr || *text < '0' || *text > '9') return std::nullopt;
-  const char* const end = text + std::strlen(text);
-  T value = 0;
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc{} || ptr != end) return std::nullopt;
-  return value;
-}
 
 /// Consume the value after flag argv[i] (advancing i) and parse it with
 /// parse_unsigned into `out`. On a missing or malformed value returns

@@ -2,26 +2,37 @@
 // dimension, a comma-separated fault list (bit-string node labels), and
 // optionally a source/destination pair. Prints the safety levels, safety
 // vectors, safe-node classifications, component structure, and — when a
-// pair is given — the full source decision and the routed path.
+// pair is given — the full source decision and the routed path. It is
+// also the one reader for saved JSONL traces and telemetry files.
 //
 //   $ ./inspect 4 0011,0100,0110,1001            # the Fig. 1 machine
 //   $ ./inspect 4 0011,0100,0110,1001 1110 0001  # + route a unicast
 //   $ ./inspect 4 ... 1110 0001 --trace t.jsonl  # + write & replay trace
 //   $ ./inspect --replay t.jsonl                 # narrate a saved trace
-//   $ ./inspect --audit t.jsonl                  # invariant-check a trace
+//   $ ./inspect --audit t.jsonl [--dim N]        # invariant-check a trace
+//   $ ./inspect --audit t.jsonl --json           # one-line JSON report
 //   $ ./inspect --dash telemetry.jsonl           # render a telemetry dash
-//   $ ./inspect --timeline t.jsonl               # -> t.trace.json (Perfetto)
+//   $ ./inspect --timeline t.jsonl [-o F]        # -> t.trace.json (Perfetto)
+//
+// --dim N gives the audit the cube dimension, enabling the n-1 GS round
+// bound and the nav-vector width check (schema and report layout in
+// EXPERIMENTS.md, AUDIT section). Dimensions parse strictly: a sign,
+// suffix or out-of-range value is a usage error.
+//
+// Exit status: 0 success (for --audit: every invariant held), 1 an
+// audit violation or unreadable input, 2 usage error.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/components.hpp"
 #include "common/format.hpp"
+#include "common/parse.hpp"
 #include "obs/audit.hpp"
 #include "obs/dashboard.hpp"
 #include "core/global_status.hpp"
@@ -163,9 +174,9 @@ int dash_telemetry(const std::string& path) {
   return 0;
 }
 
-/// Export a saved serving trace as a Chrome-trace / Perfetto timeline
-/// next to the input (foo.jsonl -> foo.trace.json).
-int timeline_trace(const std::string& path) {
+/// Export a saved serving trace as a Chrome-trace / Perfetto timeline to
+/// `out_path`, or next to the input (foo.jsonl -> foo.trace.json).
+int timeline_trace(const std::string& path, std::string out_path) {
   if (!std::ifstream(path).good()) {
     std::fprintf(stderr, "timeline: cannot open %s\n", path.c_str());
     return 1;
@@ -173,12 +184,14 @@ int timeline_trace(const std::string& path) {
   std::size_t malformed = 0;
   const std::vector<obs::ParsedEvent> events =
       obs::read_jsonl_file(path, &malformed);
-  std::string out_path = path;
-  const std::size_t dot = out_path.rfind(".jsonl");
-  if (dot != std::string::npos && dot == out_path.size() - 6) {
-    out_path.resize(dot);
+  if (out_path.empty()) {
+    out_path = path;
+    const std::size_t dot = out_path.rfind(".jsonl");
+    if (dot != std::string::npos && dot == out_path.size() - 6) {
+      out_path.resize(dot);
+    }
+    out_path += ".trace.json";
   }
-  out_path += ".trace.json";
   std::ofstream out(out_path, std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "timeline: cannot write %s\n", out_path.c_str());
@@ -201,30 +214,49 @@ int timeline_trace(const std::string& path) {
   return 0;
 }
 
-/// Stream a saved trace through the audit engine and report violations.
-int audit_trace(const std::string& path) {
+/// Stream a saved trace through the audit engine and print the report:
+/// text tables, or one JSON object with `json`.
+int audit_trace(const std::string& path, unsigned dimension, bool json) {
   if (!std::ifstream(path).good()) {
     std::fprintf(stderr, "audit: cannot open %s\n", path.c_str());
     return 1;
   }
+  obs::AuditConfig config;
+  config.dimension = dimension;
   std::size_t malformed = 0, unknown = 0;
-  const auto report = obs::audit_jsonl_file(path, {}, &malformed, &unknown);
-  std::printf("audit: %s — %llu event(s), %llu route(s)", path.c_str(),
-              static_cast<unsigned long long>(report.events),
-              static_cast<unsigned long long>(report.routes));
-  if (malformed > 0) std::printf(", %zu malformed line(s)", malformed);
-  if (unknown > 0) std::printf(", %zu unknown event kind(s)", unknown);
-  std::printf("\n");
-  if (report.clean()) {
-    std::printf("audit: clean — every checked invariant held\n");
-    return 0;
+  const auto report =
+      obs::audit_jsonl_file(path, config, &malformed, &unknown);
+  if (json) {
+    report.write_json(std::cout);
+    std::cout << '\n';
+  } else {
+    std::printf("audit: %s — %llu event(s)", path.c_str(),
+                static_cast<unsigned long long>(report.events));
+    if (malformed > 0) std::printf(", %zu malformed line(s)", malformed);
+    if (unknown > 0) std::printf(", %zu unknown event kind(s)", unknown);
+    std::printf("\n\n");
+    report.render_text(std::cout);
   }
-  std::printf("audit: %llu VIOLATION(S)\n",
-              static_cast<unsigned long long>(report.violations_total));
-  for (const auto& v : report.details) {
-    std::printf("  [%s] %s\n", obs::to_string(v.kind), v.detail.c_str());
-  }
-  return 1;
+  return report.clean() ? 0 : 1;
+}
+
+/// Strict dimension parse: a plain decimal in 1..max, else nullopt.
+std::optional<unsigned> parse_dimension(const char* text, unsigned max) {
+  const auto n = parse_unsigned<unsigned>(text);
+  if (!n || *n < 1 || *n > max) return std::nullopt;
+  return n;
+}
+
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <dimension> <faults: b1,b2,...|none> "
+               "[<source bits> <dest bits>] [--trace FILE]\n"
+               "       %s --replay FILE\n"
+               "       %s --audit FILE [--dim N] [--json]\n"
+               "       %s --dash FILE\n"
+               "       %s --timeline FILE [-o OUT]\n",
+               argv0, argv0, argv0, argv0, argv0);
+  return 2;
 }
 
 }  // namespace
@@ -233,52 +265,65 @@ int main(int argc, char** argv) {
   using namespace slcube;
 
   // Pull the flag arguments out; what remains is positional.
-  std::string trace_file, replay_file, audit_file, dash_file, timeline_file;
+  std::string trace_file, replay_file, audit_file, dash_file, timeline_file,
+      out_file;
+  std::optional<unsigned> audit_dim;
+  bool json = false;
   std::vector<char*> pos;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--trace" && i + 1 < argc) {
+    const std::string arg = argv[i];
+    const bool has_value = i + 1 < argc;
+    if (arg == "--trace" && has_value) {
       trace_file = argv[++i];
-    } else if (std::string(argv[i]) == "--replay" && i + 1 < argc) {
+    } else if (arg == "--replay" && has_value) {
       replay_file = argv[++i];
-    } else if (std::string(argv[i]) == "--audit" && i + 1 < argc) {
+    } else if (arg == "--audit" && has_value) {
       audit_file = argv[++i];
-    } else if (std::string(argv[i]) == "--dash" && i + 1 < argc) {
+    } else if (arg == "--dash" && has_value) {
       dash_file = argv[++i];
-    } else if (std::string(argv[i]) == "--timeline" && i + 1 < argc) {
+    } else if (arg == "--timeline" && has_value) {
       timeline_file = argv[++i];
+    } else if (arg == "-o" && has_value) {
+      out_file = argv[++i];
+    } else if (arg == "--json") {
+      json = true;
+    } else if (arg == "--dim" && has_value) {
+      audit_dim = parse_dimension(argv[++i], topo::Hypercube::kMaxDimension);
+      if (!audit_dim) {
+        std::fprintf(stderr, "--dim must be an integer in 1..%u, got '%s'\n",
+                     topo::Hypercube::kMaxDimension, argv[i]);
+        return 2;
+      }
     } else {
       pos.push_back(argv[i]);
     }
   }
-  if (!timeline_file.empty() && pos.empty()) {
-    return timeline_trace(timeline_file);
+  // Each reader takes one file and no positionals; --dim/--json belong to
+  // --audit and -o to --timeline.
+  const int readers = int{!audit_file.empty()} + int{!dash_file.empty()} +
+                      int{!timeline_file.empty()};
+  if (readers > 1 || (readers == 1 && !pos.empty()) ||
+      ((audit_dim || json) && audit_file.empty()) ||
+      (!out_file.empty() && timeline_file.empty())) {
+    return usage(argv[0]);
   }
-  if (!dash_file.empty() && pos.empty()) {
-    return dash_telemetry(dash_file);
-  }
-  if (!audit_file.empty() && pos.empty()) {
-    return audit_trace(audit_file);
+  if (!timeline_file.empty()) return timeline_trace(timeline_file, out_file);
+  if (!dash_file.empty()) return dash_telemetry(dash_file);
+  if (!audit_file.empty()) {
+    return audit_trace(audit_file, audit_dim.value_or(0), json);
   }
   if (!replay_file.empty() && pos.empty()) {
     return replay_trace(replay_file, 0);
   }
 
-  if (pos.size() != 2 && pos.size() != 4) {
-    std::fprintf(stderr,
-                 "usage: %s <dimension> <faults: b1,b2,...|none> "
-                 "[<source bits> <dest bits>] [--trace FILE]\n"
-                 "       %s --replay FILE\n"
-                 "       %s --audit FILE\n"
-                 "       %s --dash FILE\n"
-                 "       %s --timeline FILE\n",
-                 argv[0], argv[0], argv[0], argv[0], argv[0]);
+  if (pos.size() != 2 && pos.size() != 4) return usage(argv[0]);
+  const std::optional<unsigned> dim = parse_dimension(pos[0], 16);
+  if (!dim) {
+    std::fprintf(stderr, "dimension must be an integer in 1..16, got '%s'\n",
+                 pos[0]);
     return 2;
   }
-  const unsigned n = static_cast<unsigned>(std::atoi(pos[0]));
-  if (n < 1 || n > 16) {
-    std::fprintf(stderr, "dimension must be in 1..16\n");
-    return 2;
-  }
+  const unsigned n = *dim;
   const topo::Hypercube cube(n);
   fault::FaultSet faults(cube.num_nodes());
   if (std::string(pos[1]) != "none") {

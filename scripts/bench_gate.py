@@ -29,7 +29,7 @@ warns, because the recorder is supposed to be nearly free. With
 Sampled-tracing runs (bench_service --sample, baseline
 BENCH_SAMPLING.json) add one more intra-run check: the bench's own
 "sampling_overhead_pct" (sampled vs untraced throughput, measured as
-the best paired ratio across interleaved reps) warns past
+the median paired ratio across interleaved reps) warns past
 --sampling-overhead percent. It is never compared against the baseline
 — it is host noise — while the deterministic sampling_* fields
 (promoted digest, promotion counts, the retention / invariance /
@@ -166,10 +166,10 @@ def check_telemetry_overhead(current, overhead, warnings):
 def check_sampling_overhead(current, budget_pct, warnings):
     """The sampler's own sampled-vs-untraced overhead vs the budget.
 
-    bench_service --sample measures this intra-run (best paired ratio
-    over interleaved reps), so the gate only has to compare the reported
-    percentage against the budget — a warning, like all timing checks,
-    because shared CI runners can blow any throughput ratio."""
+    bench_service --sample measures this intra-run (median of the paired
+    ratios over interleaved reps), so the gate only has to compare the
+    reported percentage against the budget — a warning, like all timing
+    checks, because shared CI runners can blow any throughput ratio."""
     pct = current.get(SAMPLING_OVERHEAD_KEY)
     if not isinstance(pct, (int, float)):
         return False

@@ -67,13 +67,13 @@ struct EngineOptions {
   /// Non-owning; must outlive the engine.
   obs::Registry* registry = nullptr;
   /// When set, workers run with this profiler installed and the engine
-  /// marks "trial" / "engine.rng" stages. Null = no per-trial profiling
-  /// work at all (the loop doesn't even check per trial).
+  /// marks "trial" / "engine.rng" stages. Null = workers run with no
+  /// profiler, and each stage marker costs one thread-local load.
   obs::Profiler* profiler = nullptr;
 };
 
-/// Wall-clock profile of one map() call (same shape as the sweep timing
-/// the drivers report): wall time, busy-worker utilization, per-trial
+/// Wall-clock profile of one map() call, and the timing every workload
+/// sweep point carries: wall time, busy-worker utilization, per-trial
 /// latency histogram.
 struct EngineTiming {
   double wall_ms = 0.0;
@@ -126,47 +126,24 @@ class SweepEngine {
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           ChunkMeta& m = meta[chunk];
           const obs::Stopwatch busy;
-          if (profiler_ == nullptr) {
-            // The untelemetered hot path: identical to the pre-profiler
-            // loop, no per-trial branching.
-            for (std::size_t t = begin; t < end; ++t) {
-              const obs::Stopwatch trial_clock;
-              TrialContext ctx{trial_offset + t, chunk,
-                               substream(seed_, stream, trial_offset + t)};
-              out[t] = body(ctx);
-              m.latency.observe(trial_clock.micros());
-              trials_run_.inc();
-            }
-          } else {
-            obs::ProfilerThreadGuard profiled(profiler_);
-            for (std::size_t t = begin; t < end; ++t) {
-              const obs::Stopwatch trial_clock;
-              obs::StageScope trial_stage("trial");
-              TrialContext ctx = [&] {
-                obs::StageScope rng_stage("engine.rng");
-                return TrialContext{
-                    trial_offset + t, chunk,
-                    substream(seed_, stream, trial_offset + t)};
-              }();
-              out[t] = body(ctx);
-              m.latency.observe(trial_clock.micros());
-              trials_run_.inc();
-            }
+          // With a null profiler the stage markers below are no-ops, so
+          // the unprofiled path shares this loop.
+          const obs::ProfilerThreadGuard profiled(profiler_);
+          for (std::size_t t = begin; t < end; ++t) {
+            const obs::Stopwatch trial_clock;
+            const obs::StageScope trial_stage("trial");
+            TrialContext ctx = [&] {
+              const obs::StageScope rng_stage("engine.rng");
+              return TrialContext{trial_offset + t, chunk,
+                                  substream(seed_, stream, trial_offset + t)};
+            }();
+            out[t] = body(ctx);
+            m.latency.observe(trial_clock.micros());
+            trials_run_.inc();
           }
           m.busy_ms = busy.millis();
         });
-    if (timing != nullptr) {
-      timing->wall_ms = wall.millis();
-      timing->trial_latency_us = obs::HistogramData(trial_latency_bounds());
-      double busy_ms = 0.0;
-      for (const ChunkMeta& m : meta) {
-        busy_ms += m.busy_ms;
-        timing->trial_latency_us.merge(m.latency);
-      }
-      const double capacity_ms =
-          timing->wall_ms * static_cast<double>(slots);
-      timing->utilization = capacity_ms > 0.0 ? busy_ms / capacity_ms : 0.0;
-    }
+    record_timing(timing, wall, meta);
     return out;
   }
 
@@ -210,18 +187,7 @@ class SweepEngine {
         });
     Acc out{};
     for (Acc& a : accs) merge_acc(out, a);
-    if (timing != nullptr) {
-      timing->wall_ms = wall.millis();
-      timing->trial_latency_us = obs::HistogramData(trial_latency_bounds());
-      double busy_ms = 0.0;
-      for (const ChunkMeta& m : meta) {
-        busy_ms += m.busy_ms;
-        timing->trial_latency_us.merge(m.latency);
-      }
-      const double capacity_ms =
-          timing->wall_ms * static_cast<double>(slots);
-      timing->utilization = capacity_ms > 0.0 ? busy_ms / capacity_ms : 0.0;
-    }
+    record_timing(timing, wall, meta);
     return out;
   }
 
@@ -230,6 +196,11 @@ class SweepEngine {
     double busy_ms = 0.0;
     obs::HistogramData latency;
   };
+
+  /// Fill `timing` (when non-null) from the wall clock and the per-chunk
+  /// busy times and latency histograms.
+  static void record_timing(EngineTiming* timing, const obs::Stopwatch& wall,
+                            const std::vector<ChunkMeta>& meta);
 
   ThreadPool pool_;
   std::uint64_t seed_;

@@ -390,18 +390,16 @@ void AuditSink::close_route(Lane& lane, const RouteDoneEvent& done) {
          << " although neither C1 nor C2 held";
       violation(ViolationKind::kFlagsInconsistent, ss.str());
     }
-    if (config_.check_hop_levels) {
-      for (const HopEvent& hop : lane.hops) {
-        // Theorem-2 floor: the chosen neighbor's advertised level covers
-        // the distance that remains after the hop (holds for spare hops
-        // too — their threshold is H+1 = |nav_after|).
-        const unsigned remaining = bits::popcount(hop.nav_after);
-        if (hop.level < remaining) {
-          std::ostringstream ss;
-          ss << "hop " << hop.from << "->" << hop.to << " advertised level "
-             << hop.level << " below remaining distance " << remaining;
-          violation(ViolationKind::kHopLevelTooLow, ss.str());
-        }
+    for (const HopEvent& hop : lane.hops) {
+      // Theorem-2 floor: the chosen neighbor's advertised level covers
+      // the distance that remains after the hop (holds for spare hops
+      // too — their threshold is H+1 = |nav_after|).
+      const unsigned remaining = bits::popcount(hop.nav_after);
+      if (hop.level < remaining) {
+        std::ostringstream ss;
+        ss << "hop " << hop.from << "->" << hop.to << " advertised level "
+           << hop.level << " below remaining distance " << remaining;
+        violation(ViolationKind::kHopLevelTooLow, ss.str());
       }
     }
     report_.hops_per_route.observe(static_cast<double>(done.hops));
@@ -437,8 +435,7 @@ void AuditSink::close_route(Lane& lane, const RouteDoneEvent& done) {
          << done.hops << " hops but " << nhops << " hop events were seen";
       violation(ViolationKind::kHopCountMismatch, ss.str());
     }
-    if (config_.stuck_is_violation && !lane.route_saw_fault_churn &&
-        !lane.stale_tables) {
+    if (!lane.route_saw_fault_churn && !lane.stale_tables) {
       std::ostringstream ss;
       ss << "route " << src.source << "->" << src.dest << " stuck after "
          << done.hops << " hops with no mid-route fault churn (impossible "

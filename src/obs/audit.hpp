@@ -16,6 +16,10 @@
 //     rule allows);
 //   * every preferred hop's advertised level covers the remaining
 //     distance (level >= popcount(nav_after), the Theorem-2 floor);
+//   * no route ends "stuck": that is impossible over a consistent level
+//     table (Theorem 2). The rule is suspended after fault churn until
+//     the stream shows a quiesced synchronous GS wave, since churn
+//     leaves the tables stale;
 //   * GS/EGS round sequences are monotone (+1 per round) and a wave that
 //     quiesces with no mid-wave fault churn stabilizes within n - 1
 //     rounds (Corollary to Property 1) — checked when the dimension is
@@ -57,15 +61,6 @@ struct AuditConfig {
   /// Cube dimension n; enables the GS "<= n-1 rounds" bound and the
   /// nav-vector width check. 0 = unknown (those checks are skipped).
   unsigned dimension = 0;
-  /// Check the Theorem-2 floor level >= popcount(nav_after) on every
-  /// preferred hop of a delivered route. True for stabilized tables;
-  /// turn off when auditing deliberately stale-table robustness runs.
-  bool check_hop_levels = true;
-  /// Treat a "stuck" terminal status as a violation (it is impossible
-  /// with a consistent level table — Theorem 2). Automatically suspended
-  /// after fault churn until the stream shows a quiesced synchronous GS
-  /// wave, since churn leaves the tables stale.
-  bool stuck_is_violation = true;
   /// Detailed violation records kept (the counters in the report are
   /// always exact; this only bounds the per-violation detail strings).
   std::size_t max_violation_details = 64;

@@ -29,7 +29,7 @@
 // chains with their summaries, unpromoted summaries, passthrough events —
 // goes under one internal mutex, and a promoted chain plus its summary is
 // one burst, so the downstream sink sees whole chains even when it is a
-// shared LockedJsonlSink; the downstream sink must itself be thread-safe.
+// shared JsonlSink; the downstream sink must itself be thread-safe.
 #pragma once
 
 #include <cstdint>

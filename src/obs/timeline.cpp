@@ -83,8 +83,7 @@ void write_thread_name(std::ostream& os, bool& first, int tid,
 }  // namespace
 
 TimelineStats write_chrome_trace(std::ostream& os,
-                                 const std::vector<ParsedEvent>& events,
-                                 const TimelineOptions& options) {
+                                 const std::vector<ParsedEvent>& events) {
   TimelineStats stats;
 
   // Pass 1: collect the epoch lineage so slices can span to their
@@ -113,13 +112,11 @@ TimelineStats write_chrome_trace(std::ostream& os,
 
   {
     Event ev(os, first, "M", kTidEpochs);
-    ev.name("process_name").arg("name", std::string_view(options.process_name));
+    ev.name("process_name").arg("name", std::string_view("slcube serving"));
   }
   write_thread_name(os, first, kTidEpochs, "epochs");
   write_thread_name(os, first, kTidRoutes, "routes (promoted)");
-  if (options.include_breadcrumbs) {
-    write_thread_name(os, first, kTidBreadcrumbs, "routes (breadcrumb)");
-  }
+  write_thread_name(os, first, kTidBreadcrumbs, "routes (breadcrumb)");
 
   // Epoch slices: each spans to the next epoch's activation (the last
   // one extends to the end of the observed axis).
@@ -158,8 +155,6 @@ TimelineStats write_chrome_trace(std::ostream& os,
 
   // Route slices and breadcrumb instants.
   for (const RouteSummaryEvent& route : routes) {
-    if (!route.promoted && !options.include_breadcrumbs) continue;
-
     Event out(os, first, route.promoted ? "X" : "i",
               route.promoted ? kTidRoutes : kTidBreadcrumbs);
     out.name("route " + std::to_string(route.route_id) + " (" +

@@ -18,6 +18,8 @@
 //     become instants on a third track, so the sampled remainder is
 //     visible without pretending it has a chain.
 //
+// The process row is labelled "slcube serving".
+//
 // Timestamps are already in the trace's own unit (request index for
 // scripted runs, epoch ordinal for live runs); they are passed through
 // as microseconds, which Perfetto treats as an opaque linear axis.
@@ -30,14 +32,6 @@
 #include "obs/jsonl.hpp"
 
 namespace slcube::obs {
-
-struct TimelineOptions {
-  /// Render breadcrumb-only route_summary records (promoted=false) as
-  /// instants on their own track.
-  bool include_breadcrumbs = true;
-  /// Label for the process row in the timeline UI.
-  const char* process_name = "slcube serving";
-};
 
 /// What write_chrome_trace emitted (for tests and report footers).
 struct TimelineStats {
@@ -54,7 +48,6 @@ struct TimelineStats {
 /// events_skipped, not errors — the exporter is meant to run over the
 /// same JSONL file the audit reads.
 TimelineStats write_chrome_trace(std::ostream& os,
-                                 const std::vector<ParsedEvent>& events,
-                                 const TimelineOptions& options = {});
+                                 const std::vector<ParsedEvent>& events);
 
 }  // namespace slcube::obs

@@ -17,13 +17,12 @@
 // by itself — each concrete sink documents its own. NullSink is
 // stateless and trivially safe. RingBufferSink synchronizes internally
 // (one mutex around the ring), so SweepEngine workers may tee into a
-// shared instance. JsonlSink is NOT synchronized: give it to one thread,
-// or serialize calls externally (interleaved writes would corrupt the
-// line structure); LockedJsonlSink is the synchronized wrapper for
-// multi-worker shared files. TeeSink adds no locking of its own — it is
-// exactly as safe as the least safe sink it fans out to. AuditSink
-// (audit.hpp) synchronizes internally; SamplingSink (sampling.hpp)
-// serializes everything it forwards, passthrough events included.
+// shared instance. JsonlSink writes each whole line under its own mutex,
+// so any number of threads may share one JSONL file. TeeSink adds no
+// locking of its own — it is exactly as safe as the least safe sink it
+// fans out to. AuditSink (audit.hpp) synchronizes internally;
+// SamplingSink (sampling.hpp) serializes everything it forwards,
+// passthrough events included.
 #pragma once
 
 #include <cstdint>
@@ -247,7 +246,14 @@ class RingBufferSink final : public TraceSink {
   std::uint64_t dropped_ = 0;
 };
 
-/// One JSON object per event per line, flushed on destruction.
+/// One JSON object per event per line, flushed on destruction. Each
+/// line is written whole under a mutex, so any number of worker threads
+/// may share one JSONL file. Lines from different threads interleave at
+/// event granularity — fine for independent events (churn, sweep points,
+/// promoted summaries) and for SamplingSink output (which forwards
+/// everything under one lock, each promoted chain and its summary as one
+/// burst), but a multi-threaded producer emitting raw route chains will
+/// still interleave *chains*; keep those per-thread or sample them.
 class JsonlSink final : public TraceSink {
  public:
   /// Borrow a stream (caller keeps it alive).
@@ -259,31 +265,9 @@ class JsonlSink final : public TraceSink {
   void on_event(const TraceEvent& ev) override;
 
  private:
+  std::mutex mutex_;
   std::unique_ptr<std::ostream> owned_;
   std::ostream* os_;
-};
-
-/// JsonlSink behind a mutex: whole lines are written atomically, so any
-/// number of worker threads may share one JSONL file. Lines from
-/// different threads interleave at event granularity — fine for
-/// independent events (churn, sweep points, promoted summaries) and for
-/// SamplingSink output (which forwards everything under one lock, each
-/// promoted chain and its summary as one burst), but a multi-threaded
-/// producer emitting raw route chains will still interleave *chains*;
-/// keep those per-thread or sample them.
-class LockedJsonlSink final : public TraceSink {
- public:
-  explicit LockedJsonlSink(std::ostream& os) : inner_(os) {}
-  explicit LockedJsonlSink(const std::string& path) : inner_(path) {}
-
-  void on_event(const TraceEvent& ev) override {
-    const std::scoped_lock lock(mutex_);
-    inner_.on_event(ev);
-  }
-
- private:
-  std::mutex mutex_;
-  JsonlSink inner_;
 };
 
 /// Fan out to several sinks (e.g. flight recorder + JSONL file).
@@ -291,8 +275,8 @@ class LockedJsonlSink final : public TraceSink {
 /// Locking contract (tested under TSan in test_obs): TeeSink itself is
 /// immutable after construction — on_event touches only the const sink
 /// list — so concurrent calls are safe exactly when every child sink's
-/// on_event is safe (RingBufferSink, LockedJsonlSink, AuditSink: yes;
-/// JsonlSink: no). TeeSink adds no ordering either: events from
+/// on_event is safe (RingBufferSink, JsonlSink and AuditSink all are).
+/// TeeSink adds no ordering either: events from
 /// different threads reach the children in whatever order the children's
 /// own locks admit them.
 class TeeSink final : public TraceSink {

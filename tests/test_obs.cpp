@@ -548,14 +548,14 @@ TEST(Trace, RingBufferCountsEvictionsExactly) {
   EXPECT_EQ(ring.total_seen(), 1u);
 }
 
-TEST(Trace, LockedJsonlSinkKeepsLinesWholeUnderContention) {
+TEST(Trace, JsonlSinkKeepsLinesWholeUnderContention) {
   // The documented contract: whole lines are written atomically, so a
   // shared stream fed by several threads still yields one parseable JSON
   // object per line. (TSan runs this test too — the lock is the point.)
   std::ostringstream os;
   constexpr unsigned kThreads = 4, kPerThread = 500;
   {
-    LockedJsonlSink sink(os);
+    JsonlSink sink(os);
     std::vector<std::thread> writers;
     for (unsigned t = 0; t < kThreads; ++t) {
       writers.emplace_back([&sink, t] {
@@ -578,12 +578,12 @@ TEST(Trace, LockedJsonlSinkKeepsLinesWholeUnderContention) {
 
 TEST(Trace, TeeSinkFansOutConcurrently) {
   // TeeSink adds no locking of its own; with thread-safe children (ring +
-  // locked JSONL) concurrent producers must land every event in both.
+  // JSONL) concurrent producers must land every event in both.
   RingBufferSink ring(/*capacity=*/128);
   std::ostringstream os;
   constexpr unsigned kThreads = 4, kPerThread = 500;
   {
-    LockedJsonlSink jsonl(os);
+    JsonlSink jsonl(os);
     TeeSink tee({&ring, &jsonl});
     std::vector<std::thread> writers;
     for (unsigned t = 0; t < kThreads; ++t) {

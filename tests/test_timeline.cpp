@@ -11,6 +11,7 @@
 
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "obs/jsonl.hpp"
@@ -114,24 +115,32 @@ TEST(Timeline, EpochSliceSpansToItsSuccessor) {
 }
 
 TEST(Timeline, BreadcrumbTrackCanBeDisabled) {
+  // The producer owns the switch: with SamplingConfig's
+  // emit_breadcrumb_summaries off, no promoted=false summary reaches the
+  // file, and the breadcrumb track stays empty.
+  std::vector<TraceEvent> events = sample_stream();
+  std::erase_if(events, [](const TraceEvent& ev) {
+    const auto* route = std::get_if<RouteSummaryEvent>(&ev);
+    return route != nullptr && !route->promoted;
+  });
   std::ostringstream os;
-  TimelineOptions options;
-  options.include_breadcrumbs = false;
-  const TimelineStats stats =
-      write_chrome_trace(os, parse_events(sample_stream()), options);
+  const TimelineStats stats = write_chrome_trace(os, parse_events(events));
   EXPECT_EQ(stats.route_slices, 2u);
   EXPECT_EQ(stats.breadcrumb_instants, 0u);
-  const std::string json = os.str();
-  EXPECT_EQ(json.find("\"routes (breadcrumb)\""), std::string::npos);
-  EXPECT_EQ(json.find("route 30"), std::string::npos);
+  EXPECT_EQ(os.str().find("route 30"), std::string::npos);
 }
 
-TEST(Timeline, CustomProcessNameIsEscapedIntoMetadata) {
+TEST(Timeline, EpochCauseIsEscapedIntoArgs) {
   std::ostringstream os;
-  TimelineOptions options;
-  options.process_name = "bench \"sample\" run";
-  (void)write_chrome_trace(os, parse_events(sample_stream()), options);
-  EXPECT_NE(os.str().find("\"bench \\\"sample\\\" run\""), std::string::npos);
+  (void)write_chrome_trace(
+      os, parse_events({epoch(0, 0, "batch \"night\" run", 2, 5)}));
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"cause\":\"batch \\\"night\\\" run\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"churn: batch \\\"night\\\" run\""),
+            std::string::npos)
+      << json;
 }
 
 TEST(Timeline, EmptyInputStillEmitsAValidSkeleton) {
