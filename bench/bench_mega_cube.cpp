@@ -7,8 +7,9 @@
 //    twice — once serial, once over the thread pool. The fixed points must be
 //    bit-identical (packed_digest compares whole words, spare bits and
 //    all); the run aborts if any dim disagrees. Reported per dim: rounds
-//    to stabilize, serial/parallel build wall, and bytes/node of the
-//    packed table (5 bits x 12 levels per u64 word ≈ 0.667 at any dim).
+//    to stabilize, GS node evaluations (the host-independent build work),
+//    serial/parallel build wall, and bytes/node of the packed table
+//    (5 bits x 12 levels per u64 word ≈ 0.667 at any dim).
 //
 //  * Route sweep: for each dim in {14,16} (capped by --dim), route
 //    --trials uniform healthy pairs on the stabilized table through the
@@ -18,8 +19,8 @@
 //    route dim is re-run serial and compared as a self-check. Reported
 //    per dim: outcome tallies and routes/sec.
 //
-// --bench-json writes BENCH_MEGA_CUBE.json: digests, rounds, tallies and
-// bytes/node are exact fields under scripts/bench_gate.py; *_ms and
+// --bench-json writes BENCH_MEGA_CUBE.json: digests, rounds, evaluations,
+// tallies and bytes/node are exact fields under scripts/bench_gate.py; *_ms and
 // *_per_sec are rate/time fields (warn-only drift).
 #include <algorithm>
 #include <fstream>
@@ -62,6 +63,7 @@ fault::FaultSet sample_faults(const topo::Hypercube& cube,
 struct BuildRow {
   unsigned dim = 0;
   unsigned rounds = 0;
+  std::uint64_t evaluations = 0;
   double serial_ms = 0.0;
   double parallel_ms = 0.0;
   std::uint64_t digest = 0;
@@ -69,7 +71,7 @@ struct BuildRow {
 };
 
 /// Build the fixed point serial and parallel; abort on any divergence —
-/// rounds, per-round change counts, or table words.
+/// rounds, per-round change counts, evaluations, or table words.
 BuildRow build_tables(const topo::Hypercube& cube,
                       const fault::FaultSet& faults, unsigned threads) {
   BuildRow row;
@@ -89,13 +91,15 @@ BuildRow build_tables(const topo::Hypercube& cube,
 
   if (serial.levels.packed() != parallel.levels.packed() ||
       serial.rounds_to_stabilize != parallel.rounds_to_stabilize ||
-      serial.changes_per_round != parallel.changes_per_round) {
+      serial.changes_per_round != parallel.changes_per_round ||
+      serial.evaluations != parallel.evaluations) {
     std::cerr << "FATAL: serial and parallel GS diverged at Q" << row.dim
               << " — the parallel rounds are not deterministic\n";
     std::exit(1);
   }
 
   row.rounds = serial.rounds_to_stabilize;
+  row.evaluations = serial.evaluations;
   row.digest = core::packed_digest(serial.levels.packed());
   row.bytes_per_node =
       static_cast<double>(serial.levels.packed().storage_bytes()) /
@@ -231,15 +235,15 @@ int main(int argc, char** argv) {
   Table build_table(
       "MEGA_CUBE: packed GS fixed point, max(2n, 2%) faults, " +
           std::to_string(workers) + " workers",
-      {"dim", "nodes", "rounds", "serial ms", "parallel ms", "speedup",
-       "bytes/node", "digest"});
-  build_table.set_precision(3, 1);
+      {"dim", "nodes", "rounds", "evaluations", "serial ms", "parallel ms",
+       "speedup", "bytes/node", "digest"});
   build_table.set_precision(4, 1);
-  build_table.set_precision(5, 2);
-  build_table.set_precision(6, 3);
+  build_table.set_precision(5, 1);
+  build_table.set_precision(6, 2);
+  build_table.set_precision(7, 3);
   for (const BuildRow& b : builds) {
     build_table.row() << b.dim << (std::uint64_t{1} << b.dim) << b.rounds
-                      << b.serial_ms << b.parallel_ms
+                      << b.evaluations << b.serial_ms << b.parallel_ms
                       << (b.parallel_ms > 0.0 ? b.serial_ms / b.parallel_ms
                                               : 0.0)
                       << b.bytes_per_node << std::to_string(b.digest);
@@ -279,6 +283,8 @@ int main(int argc, char** argv) {
     for (const BuildRow& b : builds) {
       const std::string q = "q" + std::to_string(b.dim);
       out << "  \"build_" << q << "_rounds\": " << b.rounds << ",\n"
+          << "  \"build_" << q << "_evaluations\": " << b.evaluations
+          << ",\n"
           << "  \"build_" << q << "_serial_ms\": " << b.serial_ms << ",\n"
           << "  \"build_" << q << "_parallel_ms\": " << b.parallel_ms << ",\n"
           << "  \"table_digest_" << q << "\": " << b.digest << ",\n"

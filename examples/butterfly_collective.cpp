@@ -16,12 +16,12 @@
 //
 //   $ ./butterfly_collective [dimension=7] [faults=9] [seed=5]
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <vector>
 
 #include "analysis/components.hpp"
 #include "common/format.hpp"
+#include "common/parse.hpp"
 #include "core/global_status.hpp"
 #include "core/unicast.hpp"
 #include "fault/injection.hpp"
@@ -29,11 +29,11 @@
 
 int main(int argc, char** argv) {
   using namespace slcube;
-  const unsigned n = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 7;
-  const auto fc =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 9;
-  const std::uint64_t seed =
-      argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 5;
+  const unsigned n = positional_or(argc, argv, 1, 7u, "dimension", 1u,
+                                   topo::Hypercube::kMaxDimension);
+  const std::uint64_t fc = positional_or<std::uint64_t>(
+      argc, argv, 2, 9, "faults", 0, std::uint64_t{1} << n);
+  const auto seed = positional_or<std::uint64_t>(argc, argv, 3, 5, "seed");
 
   const topo::Hypercube cube(n);
   const topo::HypercubeView view(cube);

@@ -11,11 +11,11 @@
 //
 //   $ ./disconnected_partition [dimension=6] [seed=2024]
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/components.hpp"
 #include "baselines/safety_level_router.hpp"
 #include "common/format.hpp"
+#include "common/parse.hpp"
 #include "core/properties.hpp"
 #include "core/safe_node.hpp"
 #include "fault/injection.hpp"
@@ -24,9 +24,11 @@
 
 int main(int argc, char** argv) {
   using namespace slcube;
-  const unsigned n = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 6;
-  const std::uint64_t seed =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 2024;
+  // inject_isolation spends n + 2 faults and must leave a healthy node.
+  const unsigned n = positional_or(argc, argv, 1, 6u, "dimension", 3u,
+                                   topo::Hypercube::kMaxDimension);
+  const auto seed =
+      positional_or<std::uint64_t>(argc, argv, 2, 2024, "seed");
 
   const topo::Hypercube cube(n);
   const topo::HypercubeView view(cube);

@@ -7,20 +7,21 @@
 //
 //   $ ./maintenance_window [dimension=7] [failures=12] [seed=7]
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/format.hpp"
+#include "common/parse.hpp"
 #include "sim/protocol_gs.hpp"
 #include "sim/protocol_unicast.hpp"
 #include "workload/pair_sampler.hpp"
 
 int main(int argc, char** argv) {
   using namespace slcube;
-  const unsigned n = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 7;
-  const unsigned failures =
-      argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 12;
-  const std::uint64_t seed =
-      argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 7;
+  const unsigned n = positional_or(argc, argv, 1, 7u, "dimension", 1u,
+                                   topo::Hypercube::kMaxDimension);
+  // Every failure needs a healthy victim, and traffic a healthy pair.
+  const unsigned failures = positional_or(argc, argv, 2, 12u, "failures", 0u,
+                                          (1u << n) - 2);
+  const auto seed = positional_or<std::uint64_t>(argc, argv, 3, 7, "seed");
 
   const topo::Hypercube cube(n);
   sim::Network net(cube, fault::FaultSet(cube.num_nodes()));

@@ -6,12 +6,12 @@
 //   $ ./render_cube 4 0011,0100,0110,1001 1110 0001 | dot -Tsvg > fig1.svg
 //   $ ./render_cube 4 none                           # fault-free cube
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <string>
 
 #include "common/format.hpp"
+#include "common/parse.hpp"
 #include "core/global_status.hpp"
 #include "core/unicast.hpp"
 #include "fault/fault_set.hpp"
@@ -46,11 +46,7 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  const unsigned n = static_cast<unsigned>(std::atoi(argv[1]));
-  if (n < 1 || n > 6) {
-    std::fprintf(stderr, "renderable dimensions: 1..6\n");
-    return 2;
-  }
+  const unsigned n = positional_or(argc, argv, 1, 0u, "dimension", 1u, 6u);
   const topo::Hypercube cube(n);
   fault::FaultSet faults(cube.num_nodes());
   if (std::string(argv[2]) != "none") {

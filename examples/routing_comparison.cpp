@@ -4,7 +4,6 @@
 // of what bench_router_comparison sweeps systematically.
 //
 //   $ ./routing_comparison [dimension=7] [faults=10] [pairs=2000] [seed=1]
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 
@@ -16,6 +15,7 @@
 #include "baselines/lee_hayes.hpp"
 #include "baselines/safety_level_router.hpp"
 #include "baselines/sidetrack.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "fault/injection.hpp"
 #include "topology/topology_view.hpp"
@@ -24,12 +24,12 @@
 
 int main(int argc, char** argv) {
   using namespace slcube;
-  const unsigned n = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 7;
-  const auto faults_count =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 10;
-  const int pairs = argc > 3 ? std::atoi(argv[3]) : 2000;
-  const std::uint64_t seed =
-      argc > 4 ? static_cast<std::uint64_t>(std::atoll(argv[4])) : 1;
+  const unsigned n = positional_or(argc, argv, 1, 7u, "dimension", 1u,
+                                   topo::Hypercube::kMaxDimension);
+  const std::uint64_t faults_count = positional_or<std::uint64_t>(
+      argc, argv, 2, 10, "faults", 0, std::uint64_t{1} << n);
+  const unsigned pairs = positional_or(argc, argv, 3, 2000u, "pairs");
+  const auto seed = positional_or<std::uint64_t>(argc, argv, 4, 1, "seed");
 
   const topo::Hypercube cube(n);
   const topo::HypercubeView view(cube);
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   std::vector<workload::RoutingMetrics> metrics(routers.size());
   for (auto& r : routers) r->prepare(cube, faults);
 
-  for (int p = 0; p < pairs; ++p) {
+  for (unsigned p = 0; p < pairs; ++p) {
     const auto pair = workload::sample_uniform_pair(faults, rng);
     if (!pair) break;
     const auto dist = analysis::bfs_distances(view, faults, pair->s);

@@ -41,8 +41,9 @@ Mega-cube runs (bench_mega_cube, baseline BENCH_MEGA_CUBE.json, plus the
 Q14-bounded BENCH_MEGA_CUBE_SMOKE.json the CI smoke gates against) add
 per-dimension correctness fields: table_digest_qN / routes_qN_digest
 (the packed fixed point and the fold-homomorphic route digest),
-build_qN_rounds, the outcome tallies, and bytes_per_node_qN (the packed
-5-bit SoA footprint). All gate exactly; build_qN_*_ms and
+build_qN_rounds, build_qN_evaluations (GS node evaluations, the
+host-independent build work), the outcome tallies, and bytes_per_node_qN
+(the packed 5-bit SoA footprint). All gate exactly; build_qN_*_ms and
 routes_qN_per_sec are host timing/rate fields as usual.
 
 Exact fields that carry floats (bytes_per_node_qN) compare with a 1e-9

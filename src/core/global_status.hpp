@@ -3,7 +3,9 @@
 //
 // Initially every nonfaulty node is n-safe and every faulty node 0-safe
 // (so a fault-free cube needs no work at all). Each round, every healthy
-// node recomputes NODE_STATUS from its neighbors' previous-round levels.
+// node recomputes NODE_STATUS from its neighbors' previous-round levels;
+// run_gs evaluates only the nodes with a neighbor that moved in the
+// previous round, since no other node can move.
 // The Corollary to Property 1 guarantees stabilization within n-1 rounds
 // for every fault distribution, including disconnected cubes.
 //
@@ -32,6 +34,10 @@ struct GsResult {
   /// True iff a quiescent round was reached (always true when
   /// GsOptions::max_rounds == 0).
   bool stabilized = false;
+  /// Healthy nodes evaluated, summed over every round run (the quiescent
+  /// one included): the host-independent work counter of a build. A
+  /// round evaluates only the neighbors of the previous round's moves.
+  std::uint64_t evaluations = 0;
 };
 
 struct GsOptions {
@@ -49,12 +55,13 @@ struct GsOptions {
   /// running while levels *rise*, which plain GS also handles.
   bool pessimistic_start = false;
   /// Worker threads for the synchronous rounds: 1 = the classic serial
-  /// loop, 0 = one per hardware thread, k = exactly k. Every round is a
-  /// pure function of the previous round's snapshot and a barrier ends
-  /// it, so the fixed point — and rounds_to_stabilize/changes_per_round —
-  /// are bit-identical at every thread count (test_packed_levels pins
-  /// {1,4,8}). Node ranges are split on packed-word boundaries so no two
-  /// workers ever write the same 64-bit word.
+  /// loop, 0 = one per hardware thread, k = exactly k. Each round's scan
+  /// only reads the previous round's table and a barrier ends it; the
+  /// moves are applied afterwards, so the fixed point — and
+  /// rounds_to_stabilize/changes_per_round/evaluations — are
+  /// bit-identical at every thread count (test_global_status pins
+  /// {1,4,8}). Node ranges are split on word boundaries so no two workers
+  /// ever write the same 64-bit word.
   unsigned threads = 1;
 };
 

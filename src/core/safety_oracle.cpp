@@ -1,4 +1,7 @@
 #include "core/safety_oracle.hpp"
+
+#include <algorithm>
+
 #include "obs/profiler.hpp"
 
 namespace slcube::core {
@@ -45,10 +48,26 @@ void SafetyOracle::cascade() {
   const std::uint64_t hard_cap =
       cube_.num_nodes() * (cube_.dimension() + 1) * cube_.dimension() + 1;
   std::uint64_t steps = 0;
-  for (std::size_t head = 0; head < worklist_.size(); ++head) {
+  const auto note_peak = [&] {
+    stats_.worklist_peak =
+        std::max<std::uint64_t>(stats_.worklist_peak, worklist_.size());
+  };
+  for (std::size_t head = 0; head < worklist_.size();) {
     SLC_ASSERT_MSG(++steps <= hard_cap, "oracle cascade failed to converge");
-    const NodeId a = worklist_[head];
+    const NodeId a = worklist_[head++];
     queued_[a] = 0;
+    // Drop the consumed prefix once it is the larger half and past
+    // kCompactAfter entries. The queue then holds at most its live entries
+    // plus max(live, kCompactAfter), so at most 2N from Q10 up, since
+    // queued_ admits each node once. Each compaction moves fewer entries
+    // than were consumed since the last, so keeping the FIFO order costs
+    // O(1) per pop, and small cascades never compact.
+    if (head >= kCompactAfter && 2 * head > worklist_.size()) {
+      note_peak();
+      worklist_.erase(worklist_.begin(),
+                      worklist_.begin() + static_cast<std::ptrdiff_t>(head));
+      head = 0;
+    }
     if (faults_.is_faulty(a)) continue;  // died while queued (batch adds)
     const Level updated = implied_level(cube_, faults_, levels_, a);
     ++stats_.recomputes;
@@ -58,6 +77,7 @@ void SafetyOracle::cascade() {
     ++stats_.level_changes;
     cube_.for_each_neighbor(a, [&](Dim, NodeId b) { push(b); });
   }
+  note_peak();
   worklist_.clear();
   ++stats_.cascades;
 }

@@ -1,8 +1,9 @@
 // SafetyOracle — a stateful safety-level table with incremental updates.
 //
 // compute_safety_levels() rebuilds the whole Theorem-1 fixed point from
-// scratch: O(rounds · N · n) work per fault set, paid again for every
-// sampled configuration of a sweep. But the paper's own state-change
+// scratch: an O(N) table plus its rounds' frontier and an O(N · n)
+// consistency check per fault set, paid again for every sampled
+// configuration of a sweep. But the paper's own state-change
 // discipline (Section 2.2, run as message traffic by
 // sim/protocol_gs.cpp's recompute-and-cascade kernel) shows that a
 // single fault event only perturbs levels along a bounded monotone
@@ -93,6 +94,7 @@ class SafetyOracle {
     std::uint64_t level_changes = 0;  ///< recomputations that moved a level
     std::uint64_t cascades = 0;       ///< monotone phases drained
     std::uint64_t rebuilds = 0;       ///< applies that rebuilt instead
+    std::uint64_t worklist_peak = 0;  ///< most entries the queue has held
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -114,8 +116,11 @@ class SafetyOracle {
   topo::Hypercube cube_;
   fault::FaultSet faults_;
   SafetyLevels levels_;
-  /// Cascade queue: drained from a head index, cleared once quiescent.
+  /// Cascade queue: drained from a head index; the consumed prefix is
+  /// dropped once it outgrows both the live entries and kCompactAfter.
+  /// Empty between cascades.
   std::vector<NodeId> worklist_;
+  static constexpr std::size_t kCompactAfter = 1024;
   std::vector<std::uint8_t> queued_;  ///< worklist membership, by node
   std::vector<NodeId>* change_log_ = nullptr;
   Stats stats_;

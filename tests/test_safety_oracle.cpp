@@ -258,6 +258,31 @@ TEST(SafetyOracle, BurstCascadeWorkIsBounded) {
   }
 }
 
+// A cascade's FIFO queue drops its consumed prefix, so it never holds more
+// than 2N entries even when the cascade pops far more than that: this
+// burst pops 3N entries at Q14, and the queue peaks below 1.5N.
+TEST(SafetyOracle, WorklistStaysWithinTwiceTheCube) {
+  const topo::Hypercube q(14);
+  const std::uint64_t num = q.num_nodes();
+  Xoshiro256ss rng(0xB0257 + 14);
+  SafetyOracle oracle(q, fault::inject_uniform(q, num / 50, rng));
+  std::vector<NodeId> burst;
+  std::vector<std::uint8_t> picked(num, 0);
+  while (burst.size() < num / 64) {
+    const auto a = static_cast<NodeId>(rng.below(num));
+    if (picked[a] != 0 || oracle.faults().is_faulty(a)) continue;
+    picked[a] = 1;
+    burst.push_back(a);
+  }
+  oracle.apply(burst);
+  ASSERT_EQ(oracle.stats().cascades, 1u);
+  ASSERT_EQ(oracle.stats().rebuilds, 0u);
+  EXPECT_GT(oracle.stats().recomputes, 2 * num);
+  EXPECT_GT(oracle.stats().worklist_peak, 0u);
+  EXPECT_LE(oracle.stats().worklist_peak, 2 * num);
+  EXPECT_EQ(oracle.levels(), compute_safety_levels(q, oracle.faults()));
+}
+
 // Bad input fails loudly: every toggle must be a node of the cube, and
 // no node may toggle twice in one batch (it would be partitioned twice).
 TEST(SafetyOracleDeathTest, ApplyRejectsBadToggles) {
